@@ -101,8 +101,6 @@ int main() {
   options.determinism.seeds = {1, 2};
   options.budgets.inputs_per_episode = 8;
   options.parallelism.workers = 4;
-  options.parallelism.nested = true;
-  options.caching.delta_snapshots = true;
 
   Stopwatch soak;
   explore::Campaign campaign(std::move(scenarios), options);

@@ -7,12 +7,13 @@
 // speedup until clone cost stops dominating (clones share nothing, so
 // exploration is embarrassingly parallel); on a single hardware thread the
 // pool degrades gracefully to ~1x. The fault-set hash printed per row is
-// the determinism receipt: every row must show the same value.
+// the determinism receipt: every row must show the committed
+// kTopology27FaultHash.
 //
 // Part 2 fans the ScenarioMatrix (bench topologies x strategies x seeds)
 // onto the same pool — the "as many scenarios as you can imagine" soak —
-// and runs it with nested (global-budget) scheduling on AND off: the fault
-// hashes must match byte for byte.
+// with the full telemetry surface attached; its fault-set hash must equal
+// the committed kSoakFaultHash.
 //
 // Part 3 is the nested-occupancy receipt: a single-cell campaign on an
 // 8-worker pool, where only the global worker budget can keep more than
@@ -32,6 +33,19 @@ namespace {
 
 using namespace dice;
 
+/// The committed cross-PR determinism receipt: the part-1 topology27
+/// 2-episode grammar run has hashed to this value since PR 1.
+constexpr std::uint64_t kTopology27FaultHash = 0x63f680b04458c2a9ULL;
+/// The part-2 soak's fault-set hash, recorded from the cells-only schedule
+/// that the nested one replaced (identical bytes by construction).
+constexpr std::uint64_t kSoakFaultHash = 0x247c9e9d05921a3eULL;
+
+[[nodiscard]] std::uint64_t fault_set_hash(const std::vector<core::FaultReport>& faults) {
+  std::uint64_t h = util::kFnvOffset;
+  for (const core::FaultReport& fault : faults) h = util::fnv1a(fault.to_string(), h);
+  return util::hash_finalize(h);
+}
+
 struct ScaleResult {
   double wall_ms = 0.0;
   std::size_t clones = 0;
@@ -40,16 +54,13 @@ struct ScaleResult {
   std::uint64_t steals = 0;
 };
 
-ScaleResult run_at(std::size_t workers, std::size_t episodes, bool prepared_clones = true) {
+ScaleResult run_at(std::size_t workers, std::size_t episodes) {
   bgp::SystemBlueprint blueprint = bgp::make_internet();  // 27 routers
   bgp::inject_hijack(blueprint, /*victim=*/12, /*attacker=*/20, /*more_specific=*/true);
   bgp::inject_bug(blueprint, /*node=*/5, bgp::bugs::kCommunityLength);
 
-  explore::CampaignOptions::Caching caching;
-  caching.prepared_clones = prepared_clones;
   core::DiceOptions options = explore::CampaignOptions::builder()
                                   .inputs_per_episode(32)
-                                  .caching(caching)
                                   .build()
                                   .take()
                                   .to_dice_options();
@@ -68,11 +79,7 @@ ScaleResult run_at(std::size_t workers, std::size_t episodes, bool prepared_clon
   }
   result.wall_ms = watch.ms();
   result.faults = dice.all_faults().size();
-  std::uint64_t h = util::kFnvOffset;
-  for (const core::FaultReport& fault : dice.all_faults()) {
-    h = util::fnv1a(fault.to_string(), h);
-  }
-  result.fault_hash = util::hash_finalize(h);
+  result.fault_hash = fault_set_hash(dice.all_faults());
   if (dice.pool() != nullptr) result.steals = dice.pool()->stats().steals;
   return result;
 }
@@ -86,80 +93,56 @@ int main() {
               std::thread::hardware_concurrency());
 
   constexpr std::size_t kEpisodes = 2;
-  bench::Table table({"clone path", "workers", "episodes", "clones", "faults",
-                      "fault-set hash", "steals", "wall ms", "speedup"});
+  bench::Table table({"workers", "episodes", "clones", "faults", "fault-set hash", "steals",
+                      "wall ms", "speedup"});
   double serial_ms = 0.0;
   std::uint64_t serial_hash = 0;
   bool identical = true;
-  bool first = true;
-  // The legacy decode-per-clone row anchors the receipt: every prepared/
-  // arena row must reproduce its fault-set hash bit for bit.
-  for (const bool prepared : {false, true}) {
-    for (const std::size_t workers : {1UL, 2UL, 4UL, 8UL}) {
-      if (!prepared && workers > 1) continue;  // one legacy baseline row suffices
-      const ScaleResult r = run_at(workers, kEpisodes, prepared);
-      if (first) {
-        serial_ms = r.wall_ms;
-        serial_hash = r.fault_hash;
-        first = false;
-      }
-      identical &= r.fault_hash == serial_hash;
-      char hash_text[32];
-      std::snprintf(hash_text, sizeof(hash_text), "%016llx",
-                    static_cast<unsigned long long>(r.fault_hash));
-      table.row({prepared ? "prepared+arena" : "legacy", std::to_string(workers),
-                 std::to_string(kEpisodes), std::to_string(r.clones),
-                 std::to_string(r.faults), hash_text, std::to_string(r.steals),
-                 fmt(r.wall_ms, 1), fmt(serial_ms / r.wall_ms, 2)});
+  for (const std::size_t workers : {1UL, 2UL, 4UL, 8UL}) {
+    const ScaleResult r = run_at(workers, kEpisodes);
+    if (workers == 1) {
+      serial_ms = r.wall_ms;
+      serial_hash = r.fault_hash;
     }
+    identical &= r.fault_hash == serial_hash;
+    char hash_text[32];
+    std::snprintf(hash_text, sizeof(hash_text), "%016llx",
+                  static_cast<unsigned long long>(r.fault_hash));
+    table.row({std::to_string(workers), std::to_string(kEpisodes), std::to_string(r.clones),
+               std::to_string(r.faults), hash_text, std::to_string(r.steals),
+               fmt(r.wall_ms, 1), fmt(serial_ms / r.wall_ms, 2)});
   }
   table.print();
-  std::printf(
-      "\nfault sets byte-identical across clone paths and worker counts: %s\n",
-      identical ? "YES" : "NO (determinism bug!)");
+  const bool serial_pinned = serial_hash == kTopology27FaultHash;
+  std::printf("\nfault sets byte-identical across worker counts: %s; hash %s the committed "
+              "%016llx\n",
+              identical ? "YES" : "NO (determinism bug!)",
+              serial_pinned ? "equals" : "DIFFERS FROM",
+              static_cast<unsigned long long>(kTopology27FaultHash));
 
   std::puts("\n== scenario-matrix soak: bench topologies x strategies x seeds ==\n");
-  // Driven through the Campaign builder (the lowered options are identical
-  // to the old hand-built MatrixOptions, so the receipt below must not
-  // move): 4 workers, grammar + concolic, seeds {1, 2}. Run with the
-  // legacy cells-only schedule first (the equivalence baseline), then with
-  // the nested global budget — same fault bytes required.
-  const auto soak_at = [](bool nested, obs::Trace* trace,
-                          explore::CampaignObserver* observer) {
-    explore::CampaignOptions options =
-        explore::CampaignOptions::builder()
-            .strategies({explore::StrategyKind::kGrammar,
-                         explore::StrategyKind::kConcolic})
-            .seeds({1, 2})
-            .episodes_per_cell(1)
-            .inputs_per_episode(16)
-            .parallelism(4)
-            .nested(nested)
-            .trace(trace)
-            .build()
-            .take();
-    explore::Campaign campaign(explore::default_bench_scenarios(), options);
-    return campaign.run(observer);
-  };
-  bench::Stopwatch cells_only_soak;
-  const explore::CampaignResult result = soak_at(/*nested=*/false, nullptr, nullptr);
-  const double soak_ms = cells_only_soak.ms();
-  // The nested run carries the full telemetry surface — span trace plus a
-  // ProgressReporter — and must reproduce the cells-only fault bytes
+  // Driven through the Campaign builder: 4 workers, grammar + concolic,
+  // seeds {1, 2}. The run carries the full telemetry surface — span trace
+  // plus a ProgressReporter — and must reproduce the committed fault bytes
   // anyway: the bench doubles as the passivity receipt under load.
   obs::Trace soak_trace;
   obs::ProgressReporter reporter;
-  bench::Stopwatch nested_soak;
-  const explore::CampaignResult nested_result =
-      soak_at(/*nested=*/true, &soak_trace, &reporter);
-  const double nested_soak_ms = nested_soak.ms();
-  const auto fault_set_hash = [](const explore::CampaignResult& run) {
-    std::uint64_t h = util::kFnvOffset;
-    for (const core::FaultReport& fault : run.faults) h = util::fnv1a(fault.to_string(), h);
-    return util::hash_finalize(h);
-  };
-  const bool nested_match = fault_set_hash(result) == fault_set_hash(nested_result) &&
-                            result.faults.size() == nested_result.faults.size();
+  const explore::CampaignOptions soak_options =
+      explore::CampaignOptions::builder()
+          .strategies({explore::StrategyKind::kGrammar, explore::StrategyKind::kConcolic})
+          .seeds({1, 2})
+          .episodes_per_cell(1)
+          .inputs_per_episode(16)
+          .parallelism(4)
+          .trace(&soak_trace)
+          .build()
+          .take();
+  explore::Campaign soak(explore::default_bench_scenarios(), soak_options);
+  bench::Stopwatch soak_watch;
+  const explore::CampaignResult result = soak.run(&reporter);
+  const double soak_ms = soak_watch.ms();
+  const std::uint64_t soak_hash = fault_set_hash(result.faults);
+  const bool soak_pinned = soak_hash == kSoakFaultHash;
 
   bench::Table cells({"scenario", "strategy", "seed", "boot", "clones", "faults", "ms"});
   for (const explore::CellResult& cell : result.cells) {
@@ -170,20 +153,21 @@ int main() {
   }
   cells.print();
   std::printf(
-      "\nmatrix: %zu cells, %zu distinct faults, %.1f ms wall (cells-only) / "
-      "%.1f ms (nested); pool steals=%llu; live-state cache %llu miss / %llu hit\n",
-      result.cells.size(), result.faults.size(), soak_ms, nested_soak_ms,
+      "\nmatrix: %zu cells, %zu distinct faults, %.1f ms wall; pool steals=%llu, "
+      "%llu child batches, %llu child tasks (%llu helped / %llu stolen across cells); "
+      "live-state cache %llu miss / %llu hit\n",
+      result.cells.size(), result.faults.size(), soak_ms,
       static_cast<unsigned long long>(result.pool.steals),
+      static_cast<unsigned long long>(result.pool.child_batches),
+      static_cast<unsigned long long>(result.pool.child_tasks),
+      static_cast<unsigned long long>(result.pool.helped),
+      static_cast<unsigned long long>(result.pool.child_steals),
       static_cast<unsigned long long>(result.live_cache.misses),
       static_cast<unsigned long long>(result.live_cache.hits));
-  std::printf(
-      "nested run: %llu child batches, %llu child tasks (%llu helped / %llu stolen "
-      "across cells); fault sets identical nested on/off: %s\n",
-      static_cast<unsigned long long>(nested_result.pool.child_batches),
-      static_cast<unsigned long long>(nested_result.pool.child_tasks),
-      static_cast<unsigned long long>(nested_result.pool.helped),
-      static_cast<unsigned long long>(nested_result.pool.child_steals),
-      nested_match ? "YES" : "NO (determinism bug!)");
+  std::printf("matrix fault-set hash %016llx %s the committed %016llx\n",
+              static_cast<unsigned long long>(soak_hash),
+              soak_pinned ? "equals" : "DIFFERS FROM (determinism bug!)",
+              static_cast<unsigned long long>(kSoakFaultHash));
   std::printf("solver cache: %llu hits / %llu misses (%llu entries, %llu models)\n",
               static_cast<unsigned long long>(result.solver_cache.hits),
               static_cast<unsigned long long>(result.solver_cache.misses),
@@ -237,10 +221,10 @@ int main() {
                 "{\"bench\":\"explore_scale\",\"topology\":\"internet27\","
                 "\"episodes\":%zu,\"fault_set_hash\":\"%016llx\","
                 "\"fault_sets_identical\":%s,\"serial_wall_ms\":%.1f,"
-                "\"matrix_cells\":%zu,\"matrix_faults\":%zu,\"matrix_wall_ms\":%.1f,"
-                "\"live_cache_hits\":%llu,"
-                "\"nested\":{\"fault_sets_identical\":%s,\"matrix_wall_ms\":%.1f,"
-                "\"child_batches\":%llu,\"child_tasks\":%llu,\"helped\":%llu,"
+                "\"matrix_cells\":%zu,\"matrix_faults\":%zu,"
+                "\"matrix_fault_hash\":\"%016llx\",\"matrix_hash_pinned\":%s,"
+                "\"matrix_wall_ms\":%.1f,\"live_cache_hits\":%llu,"
+                "\"nested\":{\"child_batches\":%llu,\"child_tasks\":%llu,\"helped\":%llu,"
                 "\"child_steals\":%llu,\"single_cell_occupied_workers\":%zu,"
                 "\"single_cell_wall_ms\":%.1f},"
                 "\"trace\":{\"file\":\"%s\",\"written\":%s,\"spans\":%zu,"
@@ -248,17 +232,17 @@ int main() {
                 "\"progress_lines\":%llu}}",
                 kEpisodes, static_cast<unsigned long long>(serial_hash),
                 identical ? "true" : "false", serial_ms, result.cells.size(),
-                result.faults.size(), soak_ms,
+                result.faults.size(), static_cast<unsigned long long>(soak_hash),
+                soak_pinned ? "true" : "false", soak_ms,
                 static_cast<unsigned long long>(result.live_cache.hits),
-                nested_match ? "true" : "false", nested_soak_ms,
-                static_cast<unsigned long long>(nested_result.pool.child_batches),
-                static_cast<unsigned long long>(nested_result.pool.child_tasks),
-                static_cast<unsigned long long>(nested_result.pool.helped),
-                static_cast<unsigned long long>(nested_result.pool.child_steals),
+                static_cast<unsigned long long>(result.pool.child_batches),
+                static_cast<unsigned long long>(result.pool.child_tasks),
+                static_cast<unsigned long long>(result.pool.helped),
+                static_cast<unsigned long long>(result.pool.child_steals),
                 occupied, single_ms, trace_path, trace_written ? "true" : "false",
                 soak_trace.events().size(), soak_trace.canonical_events(),
                 static_cast<unsigned long long>(soak_trace.dropped()),
                 static_cast<unsigned long long>(reporter.lines_emitted()));
   bench::emit_json("explore_scale", json);
-  return identical && nested_match ? 0 : 1;
+  return identical && serial_pinned && soak_pinned ? 0 : 1;
 }

@@ -113,6 +113,7 @@ RunResult ConcolicEngine::run(std::uint32_t max_executions) {
 
 RunResult ConcolicEngine::run() {
   RunResult result;
+  solver_.reset_stats();  // result.stats.solver reports this run's work only
   while (!queue_.empty() && result.stats.executions < options_.max_executions) {
     WorkItem item = queue_.top();
     queue_.pop();

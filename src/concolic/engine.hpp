@@ -44,7 +44,7 @@ struct EngineStats {
   std::uint64_t branch_points = 0;   ///< distinct (site, direction) covered
   std::uint64_t generated = 0;       ///< inputs produced by solving
   std::uint64_t crashes = 0;
-  SolverStats solver;
+  SolverStats solver;  ///< solver work of this run() call alone
 };
 
 struct CrashInfo {

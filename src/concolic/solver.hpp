@@ -56,6 +56,22 @@ struct SolverStats {
   std::uint64_t interval_unsat = 0;   ///< proven unsat by interval propagation
   std::uint64_t cache_hits = 0;       ///< answered by the attached SolverMemo
   std::uint64_t cache_stores = 0;     ///< results published to the memo
+
+  SolverStats& operator+=(const SolverStats& other) noexcept {
+    queries += other.queries;
+    sat += other.sat;
+    unsat_or_unknown += other.unsat_or_unknown;
+    hint_hits += other.hint_hits;
+    inversion_hits += other.inversion_hits;
+    exhaustive_hits += other.exhaustive_hits;
+    search_hits += other.search_hits;
+    evaluations += other.evaluations;
+    interval_unsat += other.interval_unsat;
+    cache_hits += other.cache_hits;
+    cache_stores += other.cache_stores;
+    return *this;
+  }
+  bool operator==(const SolverStats&) const = default;
 };
 
 /// Memoization hook for solver queries (implemented by explore::SolverCache).

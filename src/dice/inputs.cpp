@@ -56,6 +56,7 @@ std::vector<util::Bytes> ConcolicStrategy::next_batch(std::size_t n) {
   total_stats_.branch_points += result.stats.branch_points;
   total_stats_.generated += result.stats.generated;
   total_stats_.crashes += result.stats.crashes;
+  total_stats_.solver += result.stats.solver;
   for (concolic::CrashInfo& crash : result.crashes) crashes_.push_back(std::move(crash));
   std::vector<util::Bytes> batch = std::move(result.corpus);
   if (batch.size() > n) batch.resize(n);

@@ -60,23 +60,6 @@ struct DiceOptions {
   /// (see explore::CloneTask::rng); the knob exists so future randomized
   /// clone behavior has a deterministic, scheduling-independent source.
   std::uint64_t rng_seed = 0xd1ce5eed;
-  /// Decode-once clone pipeline: parse each snapshot into a
-  /// PreparedSnapshot once and reset per-worker arena Systems from it,
-  /// instead of constructing + re-decoding per clone. Off = the legacy
-  /// clone_from path (kept as the equivalence baseline; fault sets are
-  /// byte-identical either way).
-  bool prepared_clones = true;
-  /// Delta checkpoints: per-episode snapshots re-encode only routers whose
-  /// state changed since the previous prepared snapshot; unchanged routers
-  /// contribute one byte. Cuts per-episode snapshot bytes from
-  /// O(topology size) to O(churn) on quiet systems. Requires
-  /// `prepared_clones` (deltas resolve against the previous
-  /// PreparedSnapshot; the legacy clone_from path reads raw bytes and must
-  /// never see a delta envelope) — the flag is ignored without it. Fault
-  /// sets are byte-identical either way: delta nodes share the baseline's
-  /// decoded checkpoint object, and the cut hash is computed over
-  /// full-state hashes, not encoded bytes.
-  bool delta_snapshots = true;
   /// Terminate a clone run as soon as its oscillation detector is
   /// conclusive (any prefix's best-route flip count reaches
   /// `oscillation_threshold`) instead of burning the full
@@ -201,7 +184,7 @@ class Orchestrator {
   /// (worker ids index that pool's arenas) from the inline serial loop
   /// (worker id is a constant 0 and must NOT touch shared arena 0 — that
   /// one belongs to the pool's real worker 0).
-  [[nodiscard]] explore::CloneArena* arena_for(std::size_t worker, bool pooled) noexcept;
+  [[nodiscard]] explore::CloneArena& arena_for(std::size_t worker, bool pooled) noexcept;
 
   /// The flip threshold bootstrap converges under (0 = early-exit off) —
   /// one definition for both converge_bounded and the LiveStateCache key.

@@ -93,9 +93,9 @@ class System {
   /// Enables delta checkpoints: each take_snapshot advertises the last
   /// successfully *prepared* snapshot as the baseline, and prepare_snapshot
   /// resolves delta envelopes against it. Off by default — callers that
-  /// restore through the legacy clone_from path (raw bytes, no baseline)
-  /// must leave it off; the Orchestrator turns it on only when every
-  /// restore goes through PreparedSnapshot.
+  /// restore through clone_from (raw bytes, no baseline) must leave it
+  /// off; the Orchestrator always turns it on, because every restore it
+  /// makes goes through PreparedSnapshot.
   void set_delta_checkpoints(bool enabled) noexcept { delta_checkpoints_ = enabled; }
   [[nodiscard]] bool delta_checkpoints() const noexcept { return delta_checkpoints_; }
 

@@ -1,9 +1,9 @@
 // CloneArena: one reusable shadow System per worker.
 //
-// The legacy clone path paid O(construct + decode) for every CloneTask:
-// build a full System from the blueprint, then re-parse every node
-// checkpoint from raw bytes. With PreparedSnapshot the decode happens once
-// per snapshot; the arena removes the construction too — each worker keeps
+// Constructing a System per clone (System::clone_from) pays
+// O(construct + decode) for every CloneTask. With PreparedSnapshot the
+// decode happens once per snapshot; the arena removes the construction
+// too — each worker keeps
 // a single System alive and System::reset_from re-seeds it between tasks
 // (and, in ScenarioMatrix, between cells that share a SystemPrototype).
 //

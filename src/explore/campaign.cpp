@@ -96,9 +96,6 @@ core::DiceOptions CampaignOptions::to_dice_options() const {
   dice.include_baseline_clone = budgets.include_baseline_clone;
   dice.oscillation_threshold = determinism.oscillation_threshold;
   dice.parallelism = 1;  // never a private pool; the matrix wires the shared one
-  dice.rng_seed = determinism.rng_seed;
-  dice.prepared_clones = caching.prepared_clones;
-  dice.delta_snapshots = caching.delta_snapshots;
   dice.oscillation_early_exit = determinism.oscillation_early_exit;
   dice.bootstrap_early_exit = determinism.bootstrap_early_exit;
   return dice;
@@ -112,12 +109,8 @@ MatrixOptions CampaignOptions::to_matrix_options() const {
   matrix.episodes_per_cell = budgets.episodes_per_cell;
   matrix.bootstrap_events = budgets.bootstrap_events;
   matrix.dice = to_dice_options();
-  matrix.share_solver_cache = caching.share_solver_cache;
-  matrix.live_state_cache = caching.live_state_cache;
   matrix.live_cache = caching.live_cache;
-  matrix.unsat_seed = caching.unsat_seed;
   matrix.strategy_seed = determinism.strategy_seed;
-  matrix.nested_parallelism = parallelism.nested;
   matrix.progress_every_cells = telemetry.progress_every_cells;
   return matrix;
 }

@@ -57,9 +57,9 @@ struct CampaignOptions {
     sim::Time clone_time_budget = 120 * sim::kSecond;  ///< was DiceOptions::clone_time_budget
     bool include_baseline_clone = true;       ///< was DiceOptions::include_baseline_clone
   };
-  /// What is reused across cells and runs.
+  /// Where the bootstrap-once live states live (cells of one (scenario,
+  /// seed) key always share one converged bootstrap).
   struct Caching {
-    bool live_state_cache = true;        ///< was MatrixOptions::live_state_cache
     /// External bootstrap cache shared across campaigns; nullptr = the
     /// campaign owns one for its lifetime (repeat run() soaks still hit).
     LiveStateCache* live_cache = nullptr;  ///< was MatrixOptions::live_cache
@@ -67,37 +67,17 @@ struct CampaignOptions {
     /// keeps the bound it was constructed with; this knob does not rebind
     /// it.
     std::size_t live_cache_max_entries = LiveStateCache::kDefaultMaxEntries;
-    bool share_solver_cache = false;     ///< was MatrixOptions::share_solver_cache
-    /// Proven-UNSAT solver keys pre-seeded into every solver cache each
-    /// run() creates (MatrixOptions::unsat_seed) — the svc::ArtifactStore
-    /// warm-start path. Sound and byte-stable: a seeded hit skips solving
-    /// with the exact verdict a fresh solve would reach; no SAT model is
-    /// ever replayed. Must outlive the campaign's run() calls; nullptr =
-    /// no seeding.
-    const std::vector<std::uint64_t>* unsat_seed = nullptr;
-    bool prepared_clones = true;         ///< was DiceOptions::prepared_clones
-    /// Delta checkpoints against the previous prepared snapshot (snapshot
-    /// cost follows churn, not topology size). Requires `prepared_clones`;
-    /// ignored without it. See DiceOptions::delta_snapshots.
-    bool delta_snapshots = true;
   };
   /// Where the work runs. `workers` is the ONE global knob: a single
   /// worker budget that both layers — matrix cells and their episodes'
-  /// clone batches — draw from. The old cells-vs-clones split
-  /// (DiceOptions::parallelism inside MatrixOptions::dice) is gone; there
-  /// is no way to oversubscribe by sizing two layers independently.
+  /// clone batches — draw from. Cells submit clone batches back into the
+  /// shared pool as child tasks, so a 1-cell campaign still fills all
+  /// `workers` workers (idle workers steal a parked cell's clones).
   struct Parallelism {
     std::size_t workers = 1;      ///< global worker budget (cells + clones)
     /// External pool shared across campaigns (arena reuse); overrides
     /// `workers`. nullptr = the campaign owns a pool for its lifetime.
     ExplorePool* pool = nullptr;
-    /// Nested parallelism (default on): cells submit clone batches back
-    /// into the shared pool as child tasks, so a 1-cell campaign still
-    /// fills all `workers` workers (idle workers steal a parked cell's
-    /// clones). Off = the legacy cells-only schedule, kept as the
-    /// equivalence baseline. Fault bytes are identical either way at any
-    /// worker count (docs/DETERMINISM.md; `explore_nested_test`).
-    bool nested = true;
   };
   /// The passive observability surface (docs/OBSERVABILITY.md). Strictly
   /// read-only with respect to exploration: any Telemetry configuration
@@ -132,7 +112,6 @@ struct CampaignOptions {
     /// cell indices and fault bytes exactly. Unknown non-"" ids are
     /// rejected by validate().
     std::vector<std::string> implementations{std::string()};
-    std::uint64_t rng_seed = 0xd1ce5eed;   ///< was DiceOptions::rng_seed
     /// Overrides the per-cell derived strategy seed with one fixed value
     /// for EVERY cell (MatrixOptions::strategy_seed). For single-cell
     /// receipt campaigns that must reproduce a standalone Orchestrator
@@ -194,11 +173,6 @@ class CampaignOptions::Builder {
     options_.parallelism.workers = workers;
     return *this;
   }
-  /// Convenience: toggle nested (global-budget) scheduling.
-  Builder& nested(bool value) {
-    options_.parallelism.nested = value;
-    return *this;
-  }
   /// Per-knob budget conveniences, for callers migrating from hand-built
   /// DiceOptions/MatrixOptions who only ever set one or two fields.
   Builder& episodes_per_cell(std::size_t value) {
@@ -243,11 +217,6 @@ class CampaignOptions::Builder {
   /// Convenience: fixed strategy seed only (receipt campaigns).
   Builder& strategy_seed(std::uint64_t value) {
     options_.determinism.strategy_seed = value;
-    return *this;
-  }
-  /// Convenience: warm-start UNSAT seeding only.
-  Builder& unsat_seed(const std::vector<std::uint64_t>* value) {
-    options_.caching.unsat_seed = value;
     return *this;
   }
   Builder& determinism(Determinism value) {

@@ -188,21 +188,10 @@ MatrixResult ScenarioMatrix::run(ExplorePool& pool, const RunControl& control) {
   }
   const ExplorePool::Stats pool_before = pool.stats();
 
-  // One shared cache maximizes cross-cell reuse; per-cell caches keep every
-  // cell's solving history independent of scheduling. Either kind is
-  // pre-seeded with any warm-start UNSAT memo: a seeded hit skips solving
-  // with the verdict a fresh solve would reach, so fault bytes are
-  // unmoved (no SAT model is ever replayed across runs).
-  SolverCache shared_cache;
-  if (options_.unsat_seed != nullptr) shared_cache.seed_unsat(*options_.unsat_seed);
-  std::vector<std::unique_ptr<SolverCache>> cell_caches;
-  if (!options_.share_solver_cache) {
-    cell_caches.resize(cells.size());
-    for (auto& cache : cell_caches) {
-      cache = std::make_unique<SolverCache>();
-      if (options_.unsat_seed != nullptr) cache->seed_unsat(*options_.unsat_seed);
-    }
-  }
+  // Per-cell solver caches keep every cell's solving history independent
+  // of scheduling.
+  std::vector<std::unique_ptr<SolverCache>> cell_caches(cells.size());
+  for (auto& cache : cell_caches) cache = std::make_unique<SolverCache>();
 
   // Bootstrap-once: cells of the same (scenario, seed) share one converged
   // live state through the cache (the first cell donates, the rest resume).
@@ -296,19 +285,18 @@ MatrixResult ScenarioMatrix::run(ExplorePool& pool, const RunControl& control) {
     // Nested parallelism: the cell's episodes submit their clone batches
     // back into THIS pool as child tasks of this worker — idle workers
     // steal them across cell boundaries, so even a single parked cell
-    // keeps the whole worker budget busy. Off: clones run serially on
-    // this worker (the legacy cells-only split, kept as the equivalence
-    // baseline). Either way the fault bytes are identical: clone RNG
-    // streams and ledger priorities key off canonical indices only.
-    dice.shared_pool = options_.nested_parallelism ? &pool : nullptr;
+    // keeps the whole worker budget busy. Clone RNG streams and ledger
+    // priorities key off canonical indices only, so fault bytes do not
+    // depend on who runs what.
+    dice.shared_pool = &pool;
     dice.stop = control.stop;  // polled between clones, never mid-clone
     // Disjoint stream ids (2i, 2i+1) keep every cell's clone-RNG root and
     // strategy stream distinct from every other cell's, even when cells
     // share the same matrix seed.
     dice.rng_seed = util::Rng(cell.seed).fork(2 * index).next();
-    // Clones land on the arena of whichever pool worker executes them
-    // (nested) or on this worker's arena (serial/legacy); the shared
-    // per-scenario prototype lets every arena's System survive across cells.
+    // Clones land on the arena of whichever pool worker executes them; the
+    // shared per-scenario prototype lets every arena's System survive
+    // across cells.
     core::Orchestrator orchestrator(
         prototypes_[cell.scenario * options_.implementations.size() + cell.impl_pos],
         dice, &pool.arena(worker));
@@ -316,13 +304,9 @@ MatrixResult ScenarioMatrix::run(ExplorePool& pool, const RunControl& control) {
       obs::Span bootstrap_span(control.trace, "bootstrap",
                                static_cast<std::uint32_t>(worker),
                                static_cast<std::uint32_t>(index));
-      if (options_.live_state_cache) {
-        out.bootstrap_converged = orchestrator.bootstrap_cached(
-            *live_cache, cell.seed, options_.bootstrap_events);
-        out.bootstrap_from_cache = orchestrator.bootstrap_from_cache();
-      } else {
-        out.bootstrap_converged = orchestrator.bootstrap(options_.bootstrap_events);
-      }
+      out.bootstrap_converged =
+          orchestrator.bootstrap_cached(*live_cache, cell.seed, options_.bootstrap_events);
+      out.bootstrap_from_cache = orchestrator.bootstrap_from_cache();
     }
     out.bootstrap_ms =
         std::chrono::duration<double, std::milli>(Clock::now() - start).count();
@@ -336,10 +320,8 @@ MatrixResult ScenarioMatrix::run(ExplorePool& pool, const RunControl& control) {
     const std::uint64_t strategy_seed = options_.strategy_seed.has_value()
                                             ? *options_.strategy_seed
                                             : util::Rng(cell.seed).fork(2 * index + 1).next();
-    SolverCache* cache =
-        options_.share_solver_cache ? &shared_cache : cell_caches[index].get();
     const std::unique_ptr<core::InputStrategy> strategy =
-        make_strategy(cell.strategy, strategy_seed, cache);
+        make_strategy(cell.strategy, strategy_seed, cell_caches[index].get());
 
     // Between-episodes cancellation points; an episode the token cut short
     // reports interrupted itself. Either way the cell is incomplete and
@@ -400,24 +382,13 @@ MatrixResult ScenarioMatrix::run(ExplorePool& pool, const RunControl& control) {
   result.stopped = result.cells_completed != result.cells.size();
 
   result.faults = merger.canonical_faults();
-  if (options_.share_solver_cache) {
-    result.solver_cache = shared_cache.stats();
-    result.unsat_keys = shared_cache.unsat_keys();
-  } else {
-    for (const auto& cache : cell_caches) {
-      const SolverCache::Stats stats = cache->stats();
-      result.solver_cache.hits += stats.hits;
-      result.solver_cache.misses += stats.misses;
-      result.solver_cache.stores += stats.stores;
-      result.solver_cache.entries += stats.entries;
-      result.solver_cache.sat_entries += stats.sat_entries;
-      const std::vector<std::uint64_t> keys = cache->unsat_keys();
-      result.unsat_keys.insert(result.unsat_keys.end(), keys.begin(), keys.end());
-    }
-    std::sort(result.unsat_keys.begin(), result.unsat_keys.end());
-    result.unsat_keys.erase(
-        std::unique(result.unsat_keys.begin(), result.unsat_keys.end()),
-        result.unsat_keys.end());
+  for (const auto& cache : cell_caches) {
+    const SolverCache::Stats stats = cache->stats();
+    result.solver_cache.hits += stats.hits;
+    result.solver_cache.misses += stats.misses;
+    result.solver_cache.stores += stats.stores;
+    result.solver_cache.entries += stats.entries;
+    result.solver_cache.sat_entries += stats.sat_entries;
   }
   const LiveStateCache::Stats cache_after = live_cache->stats();
   result.live_cache.hits = cache_after.hits - cache_before.hits;

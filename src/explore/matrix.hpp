@@ -5,7 +5,7 @@
 // global worker budget for cells and clones, idle workers steal a parked
 // cell's clones across cell boundaries), and merges its deduplicated faults
 // into one matrix-wide ledger keyed by cell order, so the aggregate fault
-// list is deterministic for any worker count, with nesting on or off.
+// list is deterministic for any worker count.
 //
 // This turns the bench topologies (hijack, policy conflict, cycle,
 // topology27) into one soak run covering many scenarios per unit time —
@@ -43,6 +43,17 @@ struct ScenarioSpec {
 enum class StrategyKind : std::uint8_t { kConcolic, kGrammar, kGrammarStrict, kRandom };
 [[nodiscard]] std::string_view to_string(StrategyKind kind) noexcept;
 
+/// Every run schedules cells and clones on one global worker budget: each
+/// cell submits its episodes' clone batches back into the SAME pool as
+/// child tasks of the cell's worker, so a 1-cell matrix on a W-worker pool
+/// still keeps all W workers busy (idle workers steal the parked cell's
+/// clones). Fault sets are byte-identical at any worker count: per-clone
+/// RNG streams and ledger priorities derive from canonical indices, never
+/// from execution order (docs/DETERMINISM.md). Bootstrap-once: the first
+/// cell of each (scenario, seed) key converges and donates a
+/// PreparedLiveState; later cells resume from it in microseconds
+/// (LiveStateCache). Each concolic cell memoizes its solver queries in a
+/// SolverCache of its own.
 struct MatrixOptions {
   std::vector<StrategyKind> strategies{StrategyKind::kGrammar, StrategyKind::kRandom};
   std::vector<std::uint64_t> seeds{1};
@@ -58,36 +69,9 @@ struct MatrixOptions {
   std::size_t episodes_per_cell = 1;
   std::size_t bootstrap_events = 500'000;
   core::DiceOptions dice;  ///< per-cell episode options (parallelism forced to 1)
-  /// Nested parallelism — the global worker budget. On (default): every
-  /// cell submits its episodes' clone batches back into the SAME pool as
-  /// child tasks of the cell's worker, so a 1-cell matrix on a W-worker
-  /// pool still keeps all W workers busy (idle workers steal the parked
-  /// cell's clones). Off: the legacy cells-only split — a cell's clones run
-  /// serially on the one worker that owns the cell (the equivalence
-  /// baseline). Fault sets are byte-identical either way at any worker
-  /// count: per-clone RNG streams and ledger priorities derive from
-  /// canonical indices, never from execution order (docs/DETERMINISM.md).
-  bool nested_parallelism = true;
-  /// Share one SolverCache across all concolic cells. Maximizes reuse but
-  /// lets concurrent cells observe each other's (sound, verified) models;
-  /// keep false when byte-stable repeat runs matter more than throughput.
-  bool share_solver_cache = false;
-  /// Bootstrap each (scenario, seed) live system ONCE: the first cell of a
-  /// key converges and donates a PreparedLiveState; later cells resume
-  /// from it in microseconds (LiveStateCache). Fault sets are byte-
-  /// identical to per-cell fresh bootstraps — off is the equivalence
-  /// baseline, not a different verdict.
-  bool live_state_cache = true;
   /// External cache to share across matrix runs (long soaks re-running the
   /// same scenarios); nullptr = one private cache per run() call.
   LiveStateCache* live_cache = nullptr;
-  /// Proven-UNSAT solver keys pre-seeded into every solver cache this run
-  /// creates (shared or per-cell) — the svc::ArtifactStore warm-start path.
-  /// Sound and byte-stable: a seeded hit skips solving with the exact
-  /// verdict a fresh solve would reach (no model is replayed). The pointed-
-  /// at vector must outlive run() and not change during it; nullptr = no
-  /// seeding.
-  const std::vector<std::uint64_t>* unsat_seed = nullptr;
   /// Overrides the per-cell derived strategy seed
   /// (`Rng(cell.seed).fork(2*index+1).next()`) with one fixed value for
   /// EVERY cell. Meant for single-cell matrices that must reproduce a
@@ -155,10 +139,6 @@ struct CellResult {
 struct MatrixResult {
   std::vector<CellResult> cells;            ///< cross-product order
   std::vector<core::FaultReport> faults;    ///< completed cells, canonical cell order
-  /// Proven-UNSAT solver keys accumulated by this run's caches (seeded ones
-  /// included), ascending and deduplicated — what svc::ArtifactStore
-  /// persists for warm starts.
-  std::vector<std::uint64_t> unsat_keys;
   SolverCache::Stats solver_cache;          ///< aggregate over all cells
   LiveStateCache::Stats live_cache;         ///< bootstrap-once cache traffic
   ExplorePool::Stats pool;                  ///< pool stats delta for this run

@@ -59,24 +59,11 @@ thread_local std::size_t tl_worker = ExplorePool::kNoWorker;
 
 }  // namespace
 
-CloneOutcome run_clone_task(const CloneTask& task, const CheckFn& check, CloneArena* arena) {
+CloneOutcome run_clone_task(const CloneTask& task, const CheckFn& check, CloneArena& arena) {
   CloneOutcome outcome;
   const auto clone_start = Clock::now();
-  // Prepared path: reset the worker's arena System from pre-decoded state.
-  // Legacy path: construct a System and re-decode the snapshot bytes.
-  std::unique_ptr<core::System> owned;
-  core::System* clone = nullptr;
-  if (arena != nullptr && task.prepared != nullptr && task.prototype != nullptr) {
-    clone = arena->acquire(task.prototype, *task.prepared, outcome.reused);
-  }
-  if (clone == nullptr && task.blueprint != nullptr && task.snap != nullptr) {
-    // Legacy decode-per-clone path: no arena/prepared state, or the arena
-    // reset failed — the task must still run (a dropped clone is a lost
-    // fault, not just lost throughput).
-    outcome.reused = false;
-    owned = core::System::clone_from(*task.blueprint, *task.snap);
-    clone = owned.get();
-  }
+  // Reset the worker's arena System from the pre-decoded state.
+  core::System* clone = arena.acquire(task.prototype, *task.prepared, outcome.reused);
   outcome.clone_ms = ms_since(clone_start);
   if (clone == nullptr) return outcome;
   outcome.ran = true;
@@ -367,7 +354,7 @@ std::vector<CloneOutcome> ExplorePool::explore(const std::vector<CloneTask>& tas
                                                const CheckFn& check) {
   std::vector<CloneOutcome> outcomes(tasks.size());
   run_batch(tasks.size(), [&](std::size_t index, std::size_t worker) {
-    outcomes[index] = run_clone_task(tasks[index], check, &arena(worker));
+    outcomes[index] = run_clone_task(tasks[index], check, arena(worker));
   });
   return outcomes;
 }

@@ -56,13 +56,10 @@ namespace dice::explore {
 /// priority that reproduces serial encounter order during fault merging.
 struct CloneTask {
   std::size_t index = 0;
-  const bgp::SystemBlueprint* blueprint = nullptr;
-  const snapshot::Snapshot* snap = nullptr;  ///< immutable, shared by all workers
-  /// Decode-once state (+ the prototype to build arena Systems from). When
-  /// both are set and the executing worker has an arena, the clone is an
-  /// arena reset instead of a construct+re-decode; results are
-  /// bit-identical either way. Shared_ptrs: a task in flight keeps the
-  /// prepared state alive even if the store trims it mid-batch.
+  /// Decode-once state (+ the prototype to build arena Systems from): the
+  /// clone is a reset of the executing worker's arena System. Immutable
+  /// and shared by all workers; the shared_ptrs keep the prepared state
+  /// alive even if the store trims it mid-batch.
   std::shared_ptr<const core::SystemPrototype> prototype;
   std::shared_ptr<const snapshot::PreparedSnapshot> prepared;
   util::Bytes input;                         ///< UPDATE body; empty for the baseline clone
@@ -103,11 +100,12 @@ using CheckFn = std::function<std::vector<core::FaultReport>(
     core::System&, const CloneTask&, bool quiesced)>;
 
 /// Executes one CloneTask end to end (clone -> inject -> converge -> check).
-/// Pure with respect to shared state: reads the immutable snapshot and
-/// blueprint, owns everything else (the arena, when given, must belong to
-/// the calling worker). Safe to call from any worker.
+/// Pure with respect to shared state: reads the immutable prepared
+/// snapshot, owns everything else (the arena must belong to the calling
+/// worker). Safe to call from any worker. A failed arena reset leaves the
+/// outcome `ran == false`.
 [[nodiscard]] CloneOutcome run_clone_task(const CloneTask& task, const CheckFn& check,
-                                          CloneArena* arena = nullptr);
+                                          CloneArena& arena);
 
 class ExplorePool {
  public:
@@ -140,9 +138,9 @@ class ExplorePool {
   void run_batch(std::size_t count,
                  const std::function<void(std::size_t task, std::size_t worker)>& fn);
 
-  /// Typed convenience: executes every CloneTask and returns outcomes in
-  /// task-index order (scheduling-independent). Tasks carrying prepared
-  /// state run on the executing worker's clone arena.
+  /// Typed convenience: executes every CloneTask on the executing worker's
+  /// clone arena and returns outcomes in task-index order
+  /// (scheduling-independent).
   [[nodiscard]] std::vector<CloneOutcome> explore(const std::vector<CloneTask>& tasks,
                                                   const CheckFn& check);
 

@@ -97,8 +97,7 @@ util::Status ShardOptions::validate() const {
 ShardCoordinator::ShardCoordinator(explore::CampaignOptions campaign, ShardOptions options)
     : campaign_(std::move(campaign)), options_(std::move(options)) {}
 
-util::Result<ShardRunResult> ShardCoordinator::run(
-    explore::CampaignObserver* observer, const std::vector<std::uint64_t>* unsat_seed) {
+util::Result<ShardRunResult> ShardCoordinator::run(explore::CampaignObserver* observer) {
   if (auto status = options_.validate(); !status.ok()) return status.error();
   // A worker that died between poll() and our write must surface as EPIPE,
   // not SIGPIPE death of the coordinator.
@@ -147,7 +146,6 @@ util::Result<ShardRunResult> ShardCoordinator::run(
     job.shard_id = shard.id;
     job.campaign = spec;
     job.cells = shard.cells;
-    if (unsat_seed != nullptr) job.unsat_seed = *unsat_seed;
     append_frame(shard.job_frame, encode_job(job));
     if (shard.cells.empty()) {
       shard.resolved = true;
@@ -156,11 +154,6 @@ util::Result<ShardRunResult> ShardCoordinator::run(
     }
   }
   out.shards = unresolved;
-
-  std::vector<std::uint64_t> unsat_union;
-  if (unsat_seed != nullptr) {
-    unsat_union.insert(unsat_union.end(), unsat_seed->begin(), unsat_seed->end());
-  }
 
   // --- spawn ---------------------------------------------------------------
   const auto spawn = [&](Shard& shard) -> util::Status {
@@ -271,8 +264,6 @@ util::Result<ShardRunResult> ShardCoordinator::run(
       merger.record_faults(index, message.faults);
       merger.finish_cell(index);
     }
-    unsat_union.insert(unsat_union.end(), done.unsat_keys.begin(),
-                       done.unsat_keys.end());
     close_fd(shard.proc.out_fd);
     (void)reap(shard.proc.pid);  // worker exits right after its receipt
     shard.live = false;
@@ -407,10 +398,6 @@ util::Result<ShardRunResult> ShardCoordinator::run(
   // cell exactly once and the partial result is well-formed, never short.
   merger.finish_remaining();
   out.matrix.faults = merger.canonical_faults();
-  std::sort(unsat_union.begin(), unsat_union.end());
-  unsat_union.erase(std::unique(unsat_union.begin(), unsat_union.end()),
-                    unsat_union.end());
-  out.matrix.unsat_keys = std::move(unsat_union);
   for (const explore::CellResult& cell : out.matrix.cells) {
     if (cell.completed) ++out.matrix.cells_completed;
   }

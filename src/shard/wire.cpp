@@ -133,13 +133,7 @@ void encode_spec(util::ByteWriter& out, const WireCampaignSpec& spec) {
   out.vu64(spec.clone_event_budget);
   out.u64(spec.clone_time_budget);
   put_bool(out, spec.include_baseline_clone);
-  put_bool(out, spec.live_state_cache);
-  put_bool(out, spec.share_solver_cache);
-  put_bool(out, spec.prepared_clones);
-  put_bool(out, spec.delta_snapshots);
   out.vu64(spec.workers);
-  put_bool(out, spec.nested);
-  out.u64(spec.rng_seed);
   put_bool(out, spec.strategy_seed.has_value());
   if (spec.strategy_seed.has_value()) out.u64(*spec.strategy_seed);
   out.u32(spec.oscillation_threshold);
@@ -187,27 +181,9 @@ void encode_spec(util::ByteWriter& out, const WireCampaignSpec& spec) {
   auto baseline = get_bool(reader, "include_baseline_clone");
   if (!baseline) return baseline.error();
   spec.include_baseline_clone = baseline.value();
-  auto live_cache = get_bool(reader, "live_state_cache");
-  if (!live_cache) return live_cache.error();
-  spec.live_state_cache = live_cache.value();
-  auto share_solver = get_bool(reader, "share_solver_cache");
-  if (!share_solver) return share_solver.error();
-  spec.share_solver_cache = share_solver.value();
-  auto prepared = get_bool(reader, "prepared_clones");
-  if (!prepared) return prepared.error();
-  spec.prepared_clones = prepared.value();
-  auto delta = get_bool(reader, "delta_snapshots");
-  if (!delta) return delta.error();
-  spec.delta_snapshots = delta.value();
   auto workers = reader.vu64();
   if (!workers) return workers.error();
   spec.workers = workers.value();
-  auto nested = get_bool(reader, "nested");
-  if (!nested) return nested.error();
-  spec.nested = nested.value();
-  auto rng_seed = reader.u64();
-  if (!rng_seed) return rng_seed.error();
-  spec.rng_seed = rng_seed.value();
   auto has_strategy_seed = get_bool(reader, "strategy_seed.has_value");
   if (!has_strategy_seed) return has_strategy_seed.error();
   if (has_strategy_seed.value()) {
@@ -324,13 +300,7 @@ WireCampaignSpec WireCampaignSpec::from_options(std::string scenario_set,
   spec.clone_event_budget = options.budgets.clone_event_budget;
   spec.clone_time_budget = options.budgets.clone_time_budget;
   spec.include_baseline_clone = options.budgets.include_baseline_clone;
-  spec.live_state_cache = options.caching.live_state_cache;
-  spec.share_solver_cache = options.caching.share_solver_cache;
-  spec.prepared_clones = options.caching.prepared_clones;
-  spec.delta_snapshots = options.caching.delta_snapshots;
   spec.workers = options.parallelism.workers;
-  spec.nested = options.parallelism.nested;
-  spec.rng_seed = options.determinism.rng_seed;
   spec.strategy_seed = options.determinism.strategy_seed;
   spec.oscillation_threshold = options.determinism.oscillation_threshold;
   spec.oscillation_early_exit = options.determinism.oscillation_early_exit;
@@ -349,13 +319,7 @@ explore::CampaignOptions WireCampaignSpec::to_options() const {
   options.budgets.clone_event_budget = clone_event_budget;
   options.budgets.clone_time_budget = clone_time_budget;
   options.budgets.include_baseline_clone = include_baseline_clone;
-  options.caching.live_state_cache = live_state_cache;
-  options.caching.share_solver_cache = share_solver_cache;
-  options.caching.prepared_clones = prepared_clones;
-  options.caching.delta_snapshots = delta_snapshots;
   options.parallelism.workers = workers;
-  options.parallelism.nested = nested;
-  options.determinism.rng_seed = rng_seed;
   options.determinism.strategy_seed = strategy_seed;
   options.determinism.oscillation_threshold = oscillation_threshold;
   options.determinism.oscillation_early_exit = oscillation_early_exit;
@@ -379,7 +343,6 @@ util::Bytes encode_job(const JobSpec& job) {
   payload.u64(job.shard_id);
   encode_spec(payload, job.campaign);
   put_u64s(payload, job.cells);
-  put_u64s(payload, job.unsat_seed);
   return seal(FrameTag::kJob, payload);
 }
 
@@ -396,7 +359,6 @@ util::Bytes encode_shard_done(const ShardDoneMsg& message) {
   util::ByteWriter payload;
   payload.u64(message.shard_id);
   payload.vu64(message.cells_sent);
-  put_u64s(payload, message.unsat_keys);
   return seal(FrameTag::kShardDone, payload);
 }
 
@@ -454,9 +416,6 @@ util::Result<Message> decode_message(std::span<const std::uint8_t> data) {
       auto cells = get_u64s(reader);
       if (!cells) return cells.error();
       job.cells = std::move(cells).take();
-      auto unsat = get_u64s(reader);
-      if (!unsat) return unsat.error();
-      job.unsat_seed = std::move(unsat).take();
       message = std::move(job);
       break;
     }
@@ -486,9 +445,6 @@ util::Result<Message> decode_message(std::span<const std::uint8_t> data) {
       auto cells_sent = reader.vu64();
       if (!cells_sent) return cells_sent.error();
       done.cells_sent = cells_sent.value();
-      auto unsat = get_u64s(reader);
-      if (!unsat) return unsat.error();
-      done.unsat_keys = std::move(unsat).take();
       message = std::move(done);
       break;
     }

@@ -1,4 +1,4 @@
-// shard wire form (DSHD v1): the frames a ShardCoordinator and a
+// shard wire form (DSHD v2): the frames a ShardCoordinator and a
 // dice_shard_worker exchange over pipes.
 //
 // Same envelope discipline as svc::ArtifactStore's DSVC files — magic,
@@ -20,8 +20,7 @@
 //                   reports in serial encounter order, exactly what the
 //                   in-process matrix would have handed the merger.
 //   kShardDone      worker -> coordinator: terminal receipt — cell count
-//                   (the coordinator rejects a short shard) and the
-//                   shard's accumulated proven-UNSAT solver keys.
+//                   (the coordinator rejects a short shard).
 //   kCellDescriptor standalone CellDescriptor codec (logging, tests).
 //
 // Determinism contract (docs/SHARDING.md): everything that pins fault
@@ -47,7 +46,9 @@
 namespace dice::shard {
 
 inline constexpr char kMagic[4] = {'D', 'S', 'H', 'D'};
-inline constexpr std::uint8_t kVersion = 1;
+/// Version 2 dropped the solver-memo fields and the equivalence-baseline
+/// toggles of version 1; a version-1 envelope fails as shard.wire.version.
+inline constexpr std::uint8_t kVersion = 2;
 /// Hard ceiling on one frame (64 MiB): a corrupt length prefix must not
 /// make the coordinator allocate unbounded memory.
 inline constexpr std::size_t kMaxFrameBytes = std::size_t{1} << 26;
@@ -75,16 +76,9 @@ struct WireCampaignSpec {
   std::uint64_t clone_event_budget = 200'000;
   std::uint64_t clone_time_budget = 0;
   bool include_baseline_clone = true;
-  // Caching.
-  bool live_state_cache = true;
-  bool share_solver_cache = false;
-  bool prepared_clones = true;
-  bool delta_snapshots = true;
   // Parallelism INSIDE the worker process (threads, not processes).
   std::uint64_t workers = 1;
-  bool nested = true;
   // Determinism.
-  std::uint64_t rng_seed = 0xd1ce5eed;
   std::optional<std::uint64_t> strategy_seed;
   std::uint32_t oscillation_threshold = 8;
   bool oscillation_early_exit = true;
@@ -105,10 +99,6 @@ struct JobSpec {
   std::uint64_t shard_id = 0;
   WireCampaignSpec campaign;
   std::vector<std::uint64_t> cells;  ///< canonical indices (enumerate_cells)
-  /// Proven-UNSAT solver keys to pre-seed the worker's caches with — the
-  /// warm-start path crossing the process boundary. Sound and byte-stable
-  /// (a seeded hit returns the verdict a fresh solve would reach).
-  std::vector<std::uint64_t> unsat_seed;
 
   bool operator==(const JobSpec&) const = default;
 };
@@ -130,7 +120,6 @@ struct ShardDoneMsg {
   /// done whose count disagrees with what it received or was dealt — a
   /// silently short merge is a failed attempt, never a success.
   std::uint64_t cells_sent = 0;
-  std::vector<std::uint64_t> unsat_keys;
 
   bool operator==(const ShardDoneMsg&) const = default;
 };

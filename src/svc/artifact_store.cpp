@@ -183,15 +183,10 @@ util::Result<util::Bytes> ArtifactStore::encode(const StoreContents& contents) {
             [](const LiveStateArtifact* a, const LiveStateArtifact* b) {
               return a->key < b->key;
             });
-  std::vector<std::uint64_t> unsat = contents.unsat_keys;
-  std::sort(unsat.begin(), unsat.end());
-  unsat.erase(std::unique(unsat.begin(), unsat.end()), unsat.end());
 
   util::ByteWriter payload;
   payload.vu64(ordered.size());
   for (const LiveStateArtifact* artifact : ordered) encode_artifact(payload, *artifact);
-  payload.vu64(unsat.size());
-  for (const std::uint64_t key : unsat) payload.u64(key);
 
   util::ByteWriter out(payload.size() + 16);
   out.raw(std::span<const std::uint8_t>(
@@ -234,14 +229,6 @@ util::Result<StoreContents> ArtifactStore::decode(std::span<const std::uint8_t> 
     auto artifact = decode_artifact(reader);
     if (!artifact) return artifact.error();
     contents.live_states.push_back(std::move(artifact).take());
-  }
-  auto unsat_count = reader.vu64();
-  if (!unsat_count) return unsat_count.error();
-  contents.unsat_keys.reserve(unsat_count.value());
-  for (std::uint64_t i = 0; i < unsat_count.value(); ++i) {
-    auto key = reader.u64();
-    if (!key) return key.error();
-    contents.unsat_keys.push_back(key.value());
   }
   if (!reader.exhausted()) {
     return util::make_error("svc.store.trailing_bytes",

@@ -2,21 +2,14 @@
 // daemon (docs/SERVICE.md).
 //
 // A restarted daemon used to pay the full cold-start bill: every
-// (scenario, seed) live system re-bootstrapped from zero and every solver
-// verdict re-derived, even though the previous process had already done
-// both. The store closes that gap across PROCESS lifetimes the same way
-// LiveStateCache closes it across cells: it serializes every harvested
-// PreparedLiveState (as its raw, standalone snapshot plus the resume
-// metadata) together with the SolverCache's proven-UNSAT memo, and a fresh
-// daemon re-decodes them against its own routers before the first round.
-//
-// Only artifacts that are sound to replay are persisted:
-//  * live states are raw Chandy-Lamport cuts re-decoded through the exact
-//    checkpoint codec a live capture uses — byte-identical resume;
-//  * of the solver memo only proven-UNSAT keys travel (a seeded hit skips
-//    solving with the verdict a fresh solve would reach; a replayed SAT
-//    *model* could differ byte-wise and move fault bytes, so models never
-//    travel).
+// (scenario, seed) live system re-bootstrapped from zero, even though the
+// previous process had already done it. The store closes that gap across
+// PROCESS lifetimes the same way LiveStateCache closes it across cells: it
+// serializes every harvested PreparedLiveState (as its raw, standalone
+// snapshot plus the resume metadata), and a fresh daemon re-decodes them
+// against its own routers before the first round. Live states are raw
+// Chandy-Lamport cuts re-decoded through the exact checkpoint codec a live
+// capture uses — byte-identical resume.
 //
 // Robustness contract (mirrors bgp/checkpoint_codec): versioned magic
 // envelope, whole-payload checksum, strict bounds-checked decode. A
@@ -67,32 +60,33 @@ struct LiveStateArtifact {
   snapshot::Snapshot snap;  ///< raw standalone cut (baseline_id must be 0)
 };
 
-/// Everything one store file holds. `live_states` is kept sorted by key and
-/// `unsat_keys` ascending+deduplicated, so equal contents encode to equal
-/// bytes (the cold-vs-warm byte-identity receipt diffs these files).
+/// Everything one store file holds. `live_states` is kept sorted by key, so
+/// equal contents encode to equal bytes (the cold-vs-warm byte-identity
+/// receipt diffs these files).
 struct StoreContents {
   std::vector<LiveStateArtifact> live_states;
-  std::vector<std::uint64_t> unsat_keys;
 };
 
 class ArtifactStore {
  public:
-  /// v1 wire format: "DSVC" magic, version byte, u64 FNV-1a checksum over
-  /// the payload, payload. The checksum is verified BEFORE any payload
-  /// parsing, so every single-byte corruption is detected deterministically.
+  /// v2 wire format: "DSVC" magic, version byte, u64 FNV-1a checksum over
+  /// the payload, payload (the live-state artifacts). The checksum is
+  /// verified BEFORE any payload parsing, so every single-byte corruption
+  /// is detected deterministically. Version 1 stores (which also carried a
+  /// solver-memo section) are refused as "svc.store.bad_version".
   static constexpr char kMagic[4] = {'D', 'S', 'V', 'C'};
-  static constexpr std::uint8_t kVersion = 1;
+  static constexpr std::uint8_t kVersion = 2;
 
   explicit ArtifactStore(std::string path) : path_(std::move(path)) {}
 
   [[nodiscard]] const std::string& path() const noexcept { return path_; }
 
-  /// Serializes `contents` (canonicalized: artifacts sorted by key, unsat
-  /// keys ascending+deduplicated — equal contents always encode to equal
-  /// bytes). Refuses artifacts that are not sound to persist: a snapshot
-  /// with `baseline_id != 0` or a node checkpoint riding the delta envelope
-  /// ("svc.store.delta_snapshot") — a standalone capture never has either,
-  /// and a delta cut re-decoded without its baseline would be garbage.
+  /// Serializes `contents` (canonicalized: artifacts sorted by key — equal
+  /// contents always encode to equal bytes). Refuses artifacts that are not
+  /// sound to persist: a snapshot with `baseline_id != 0` or a node
+  /// checkpoint riding the delta envelope ("svc.store.delta_snapshot") — a
+  /// standalone capture never has either, and a delta cut re-decoded
+  /// without its baseline would be garbage.
   [[nodiscard]] static util::Result<util::Bytes> encode(const StoreContents& contents);
 
   /// Strict decode: bad magic ("svc.store.bad_magic"), unknown version

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cstdio>
 #include <fstream>
-#include <iterator>
 #include <map>
 
 #include "dice/system.hpp"
@@ -206,12 +205,10 @@ SoakService::SoakService(std::vector<explore::ScenarioSpec> scenarios,
   auto loaded = ArtifactStore(options_.store_path).load();
   if (loaded.ok()) {
     contents_ = std::move(loaded).take();
-    unsat_ = contents_.unsat_keys;
     report_.primed_from_store = prime_cache_locked();
     report_.warm_started = report_.primed_from_store > 0;
     logger().info() << "warm start: primed " << report_.primed_from_store
-                    << " live state(s), " << unsat_.size()
-                    << " UNSAT key(s) from " << options_.store_path;
+                    << " live state(s) from " << options_.store_path;
   } else if (loaded.error().code != "svc.store.missing") {
     // A bad store must never keep the daemon down: remember the typed
     // error for the operator and cold-start.
@@ -229,9 +226,8 @@ SoakService::~SoakService() {
 void SoakService::build_campaign_locked(const explore::CampaignOptions& options) {
   explore::CampaignOptions wired = options;
   // The warm-continuity machinery: every campaign generation reads and
-  // feeds the SAME service-owned cache and UNSAT memo.
+  // feeds the SAME service-owned cache.
   wired.caching.live_cache = &cache_;
-  wired.caching.unsat_seed = &unsat_;
   campaign_ = std::make_unique<explore::Campaign>(scenarios_, std::move(wired));
 }
 
@@ -312,19 +308,9 @@ void SoakService::promote_decoded_locked() {
   }
 }
 
-void SoakService::harvest_locked(const explore::MatrixResult& result) {
-  // UNSAT memo: union of what we seeded and what the round proved (both
-  // sides ascending+deduplicated).
-  std::vector<std::uint64_t> merged;
-  merged.reserve(contents_.unsat_keys.size() + result.unsat_keys.size());
-  std::set_union(contents_.unsat_keys.begin(), contents_.unsat_keys.end(),
-                 result.unsat_keys.begin(), result.unsat_keys.end(),
-                 std::back_inserter(merged));
-  contents_.unsat_keys = std::move(merged);
-  unsat_ = contents_.unsat_keys;
-
-  // Live states: every resolved cache entry that still carries its raw cut
-  // replaces (or joins) the stored artifact under its stable name key.
+void SoakService::harvest_locked() {
+  // Every resolved cache entry that still carries its raw cut replaces (or
+  // joins) the stored artifact under its stable name key.
   const explore::ScenarioMatrix& matrix = campaign_->matrix();
   const std::vector<explore::ScenarioSpec>& specs = matrix.scenarios();
   const std::vector<std::string>& impls = matrix.options().implementations;
@@ -393,7 +379,6 @@ void SoakService::apply_pending_swap_locked() {
 RoundSummary SoakService::run_round() {
   std::uint64_t round = 0;
   shard::ShardOptions shard_options;
-  std::vector<std::uint64_t> unsat_seed;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     apply_pending_swap_locked();
@@ -402,7 +387,6 @@ RoundSummary SoakService::run_round() {
     if (shard_options.processes > 0) {
       shard_options.worker_path = options_.shard_worker_path;
       shard_options.scenario_set = options_.shard_scenario_set;
-      unsat_seed = unsat_;  // the warm-start memo crossing to the workers
     }
   }
 
@@ -416,12 +400,11 @@ RoundSummary SoakService::run_round() {
     // worker processes and merges through the same CellMerger, so the
     // canonical stream FoldObserver sees — and every hash downstream — is
     // byte-identical to the in-process branch. Worker bootstrap caches die
-    // with their processes (no live-state harvest crosses back); the UNSAT
-    // memo crosses in both directions via the job/done frames. A stop
+    // with their processes (no live-state harvest crosses back). A stop
     // request interrupts at the round boundary, not mid-round.
     const auto begin = std::chrono::steady_clock::now();
     auto sharded =
-        shard::ShardCoordinator(options_.campaign, shard_options).run(&fold, &unsat_seed);
+        shard::ShardCoordinator(options_.campaign, shard_options).run(&fold);
     if (sharded.ok()) {
       for (const shard::ShardLoss& loss : sharded.value().losses) {
         logger().warn() << "round " << round << " lost shard " << loss.shard
@@ -465,7 +448,7 @@ RoundSummary SoakService::run_round() {
       ++summary.new_faults;
     }
   }
-  harvest_locked(result);
+  harvest_locked();
   promote_decoded_locked();
   ++report_.rounds;
   report_.warm_starts += summary.cells_from_cache;

@@ -12,9 +12,8 @@
 //    (content-identical faults dedup across rounds; serial-order
 //    determinism per round is untouched);
 //  * it persists warm-start state (svc::ArtifactStore): harvested
-//    PreparedLiveStates and the proven-UNSAT solver memo survive the
-//    process, so a killed-and-restarted daemon resumes bootstraps in
-//    microseconds instead of replaying them;
+//    PreparedLiveStates survive the process, so a killed-and-restarted
+//    daemon resumes bootstraps in microseconds instead of replaying them;
 //  * live knobs: swap_options() validates a whole CampaignOptions and
 //    applies it exactly at the next round boundary — a rejected swap keeps
 //    the old options and returns the typed "campaign.options.*" error, and
@@ -56,9 +55,9 @@ namespace dice::svc {
 struct SoakOptions {
   /// Exploration configuration for every round. Validated through
   /// CampaignOptions::validate() by SoakOptions::validate(). The service
-  /// overrides `caching.live_cache` and `caching.unsat_seed` with its own
-  /// service-owned instances (that is the warm-continuity machinery);
-  /// everything else is honored as given.
+  /// overrides `caching.live_cache` with its own service-owned cache (that
+  /// is the warm-continuity machinery); everything else is honored as
+  /// given.
   explore::CampaignOptions campaign{};
   /// Stop after this many rounds; 0 = unbounded (run until stop()/drain()).
   std::size_t max_rounds = 0;
@@ -77,9 +76,9 @@ struct SoakOptions {
   /// Persist (store + report + metrics) once every N completed rounds; the
   /// final round always persists. Rejected at 0 by validate().
   std::size_t persist_every_rounds = 1;
-  /// Load the store at construction and prime the bootstrap cache + UNSAT
-  /// memo from it. Off = ignore any existing store (still saved to, if
-  /// `store_path` is set).
+  /// Load the store at construction and prime the bootstrap cache from it.
+  /// Off = ignore any existing store (still saved to, if `store_path` is
+  /// set).
   bool warm_start = true;
   /// Worker PROCESSES per round: 0 = in-process rounds (the default), N>0 =
   /// each round runs through shard::ShardCoordinator, dealing the cell
@@ -149,8 +148,8 @@ class SoakService {
   static constexpr std::size_t kMaxRoundSummaries = 4096;
 
   /// Builds the campaign (service-wired caches) and — when `store_path` is
-  /// set and `warm_start` — loads the store and primes the bootstrap cache
-  /// and UNSAT memo. A missing store is the normal first boot; a corrupt or
+  /// set and `warm_start` — loads the store and primes the bootstrap
+  /// cache. A missing store is the normal first boot; a corrupt or
   /// truncated one degrades to a cold start with the typed error retained
   /// in store_error() (the daemon NEVER refuses to start over a bad store).
   SoakService(std::vector<explore::ScenarioSpec> scenarios, SoakOptions options);
@@ -192,9 +191,8 @@ class SoakService {
 
   /// Queues a shard-mode change — N>0 worker processes, or 0 back to
   /// in-process — applied exactly at the next round boundary, like
-  /// swap_options. Warm state carries across the swap: the UNSAT memo
-  /// crosses the process boundary in both directions, and live states
-  /// harvested from in-process rounds stay primed for the swap back.
+  /// swap_options. Live states harvested from in-process rounds stay
+  /// primed for the swap back.
   /// Rejects (typed "svc.options.*") when N>0 but shard_worker_path or
   /// shard_scenario_set is unusable.
   [[nodiscard]] util::Status swap_shard_processes(std::size_t processes);
@@ -222,9 +220,9 @@ class SoakService {
   /// entries (no decode — the first resume per key takes the fused
   /// one-shot restore). Returns how many primed. Caller holds mutex_.
   std::size_t prime_cache_locked();
-  /// Folds a finished round's cache/solver state back into contents_.
+  /// Folds the bootstrap cache's resolved live states back into contents_.
   /// Caller holds mutex_.
-  void harvest_locked(const explore::MatrixResult& result);
+  void harvest_locked();
   /// Decodes any still-raw-only cache entries into their shareable
   /// PreparedSnapshot form and swaps them in (LiveStateCache::replace), so
   /// rounds 2+ resume without re-parsing. Runs at round end, off the
@@ -235,11 +233,9 @@ class SoakService {
   std::vector<explore::ScenarioSpec> scenarios_;
   SoakOptions options_;
   /// Service-owned warm-start state, wired into every campaign this service
-  /// builds: the bootstrap cache (CampaignOptions::Caching::live_cache) and
-  /// the UNSAT seed vector (Caching::unsat_seed). Stable addresses for the
-  /// service's lifetime — campaign rebuilds re-point at the same objects.
+  /// builds (CampaignOptions::Caching::live_cache). Stable address for the
+  /// service's lifetime — campaign rebuilds re-point at the same cache.
   explore::LiveStateCache cache_;
-  std::vector<std::uint64_t> unsat_;
   std::unique_ptr<explore::Campaign> campaign_;
   explore::FaultLedger ledger_;
 

@@ -3,6 +3,7 @@
 
 #include "bgp/codec.hpp"
 #include "dice/inputs.hpp"
+#include "explore/solver_cache.hpp"
 
 namespace dice::core {
 namespace {
@@ -18,6 +19,35 @@ class InputsTest : public ::testing::Test {
   }
   System system_;
 };
+
+TEST(ConcolicStrategyStatsTest, SolverStatsSumEveryEngineRun) {
+  // stats().solver must add up each engine run's solver work. The attached
+  // memo is an independent tally: the solver consults it exactly once per
+  // query, so its lookups must equal the strategy's query count after every
+  // batch — including a second batch on the same engine, which a
+  // cumulative-instead-of-per-run sum would count twice.
+  System line(make_line(3));
+  line.start();
+  ASSERT_TRUE(line.converge());
+  explore::SolverCache memo;
+  ConcolicStrategy::Options options;
+  options.solver_memo = &memo;
+  ConcolicStrategy strategy(options);
+  for (const sim::NodeId explorer : {sim::NodeId{0}, sim::NodeId{1}}) {
+    strategy.on_episode(line, explorer);
+    for (int batch = 0; batch < 2; ++batch) {
+      (void)strategy.next_batch(16);
+      const concolic::SolverStats& solver = strategy.stats().solver;
+      const explore::SolverCache::Stats tally = memo.stats();
+      EXPECT_EQ(solver.queries, tally.hits + tally.misses)
+          << "explorer " << explorer << " batch " << batch;
+      EXPECT_EQ(solver.cache_hits, tally.hits);
+      EXPECT_EQ(solver.cache_stores, tally.stores);
+    }
+  }
+  EXPECT_GT(strategy.stats().solver.queries, 0u);
+  EXPECT_GT(strategy.stats().solver.sat, 0u);
+}
 
 TEST_F(InputsTest, GrammarStrategyProducesRequestedBatch) {
   GrammarStrategy strategy(/*corruption_rate=*/0.0);

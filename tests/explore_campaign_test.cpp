@@ -1,7 +1,7 @@
 // explore::Campaign — the streaming, cancellable facade. The receipts:
 // (1) a Campaign run WITH an observer and a stop token produces fault sets
-// byte-identical to the legacy ScenarioMatrix::run wiring at workers 1, 2
-// and 8 (hash receipt); (2) observer events arrive in canonical cell order
+// byte-identical to the legacy ScenarioMatrix::run wiring at workers 1, 2,
+// 4 and 8 (pinned hash receipt); (2) observer events arrive in canonical cell order
 // and the event stream is identical at any worker count; (3) cancelling
 // mid-matrix yields a well-formed partial result whose completed cells
 // keep byte-identical fault sets; (4) CampaignOptions::Builder rejects
@@ -196,18 +196,20 @@ TEST(CampaignOptionsTest, BuilderRejectsNonsense) {
 TEST(CampaignOptionsTest, LoweringMapsEveryLegacyKnob) {
   CampaignOptions options = small_options(/*workers=*/3);
   options.budgets.include_baseline_clone = false;
-  options.caching.prepared_clones = false;
-  options.caching.share_solver_cache = true;
-  options.determinism.rng_seed = 42;
   options.determinism.oscillation_threshold = 5;
+  options.determinism.oscillation_early_exit = false;
+  options.determinism.bootstrap_early_exit = false;
+  options.determinism.strategy_seed = 42;
+  options.determinism.implementations = {"", "fsm"};
+  options.telemetry.progress_every_cells = 3;
 
   const core::DiceOptions dice = options.to_dice_options();
   EXPECT_EQ(dice.inputs_per_episode, 4u);
   EXPECT_EQ(dice.clone_event_budget, 60'000u);
   EXPECT_FALSE(dice.include_baseline_clone);
-  EXPECT_FALSE(dice.prepared_clones);
-  EXPECT_EQ(dice.rng_seed, 42u);
   EXPECT_EQ(dice.oscillation_threshold, 5u);
+  EXPECT_FALSE(dice.oscillation_early_exit);
+  EXPECT_FALSE(dice.bootstrap_early_exit);
   EXPECT_EQ(dice.parallelism, 1u)
       << "the lowering never sizes a private pool; the matrix wires the shared one";
 
@@ -216,8 +218,9 @@ TEST(CampaignOptionsTest, LoweringMapsEveryLegacyKnob) {
   EXPECT_EQ(matrix.seeds, options.determinism.seeds);
   EXPECT_EQ(matrix.episodes_per_cell, 1u);
   EXPECT_EQ(matrix.bootstrap_events, 300'000u);
-  EXPECT_TRUE(matrix.share_solver_cache);
-  EXPECT_TRUE(matrix.live_state_cache);
+  EXPECT_EQ(matrix.strategy_seed, std::optional<std::uint64_t>(42));
+  EXPECT_EQ(matrix.implementations, options.determinism.implementations);
+  EXPECT_EQ(matrix.progress_every_cells, 3u);
 }
 
 // ---------------------------------------------------------------------------
@@ -237,10 +240,12 @@ TEST(CampaignEquivalenceTest, ObservedTokenedRunMatchesLegacyMatrixAtWorkers1And
   ExplorePool legacy_pool(1);
   const MatrixResult legacy = legacy_matrix.run(legacy_pool, {});
   const std::string reference = fault_lines(legacy.faults);
-  const std::uint64_t reference_hash = line_hash(reference);
-  ASSERT_FALSE(reference.empty()) << "the hijack scenario must produce faults";
+  // Recorded from this legacy wiring at workers 1 (FNV-1a over the joined
+  // fault lines): the facade must not move it at any worker count.
+  constexpr std::uint64_t kReferenceHash = 0x26c726075f34011fULL;
+  ASSERT_EQ(line_hash(reference), kReferenceHash);
 
-  for (const std::size_t workers : {1u, 2u, 8u}) {
+  for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
     Recorder recorder;
     StopSource source;  // real token plumbed end to end, never fired
     Campaign campaign(campaign_scenarios(), small_options(workers));
@@ -252,7 +257,7 @@ TEST(CampaignEquivalenceTest, ObservedTokenedRunMatchesLegacyMatrixAtWorkers1And
       EXPECT_TRUE(cell.completed);
     }
     EXPECT_EQ(fault_lines(result.faults), reference) << "workers=" << workers;
-    EXPECT_EQ(line_hash(fault_lines(result.faults)), reference_hash)
+    EXPECT_EQ(line_hash(fault_lines(result.faults)), kReferenceHash)
         << "workers=" << workers;
   }
 }

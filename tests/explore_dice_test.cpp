@@ -97,14 +97,14 @@ TEST(ParallelDiceTest, TypedExploreApiRunsCloneTasksEndToEnd) {
   ASSERT_TRUE(live.converge());
   const snapshot::SnapshotId id = live.take_snapshot(0);
   ASSERT_NE(id, 0u);
-  const snapshot::Snapshot* snap = live.snapshots().find(id);
-  ASSERT_NE(snap, nullptr);
+  const auto prepared = live.prepare_snapshot(id);
+  ASSERT_NE(prepared, nullptr);
 
   std::vector<CloneTask> tasks(2);
   for (std::size_t i = 0; i < tasks.size(); ++i) {
     tasks[i].index = i;
-    tasks[i].blueprint = &live.blueprint();
-    tasks[i].snap = snap;
+    tasks[i].prototype = live.prototype();
+    tasks[i].prepared = prepared;
     tasks[i].explorer = 0;
     tasks[i].event_budget = 60'000;
   }

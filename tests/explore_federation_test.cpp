@@ -1,7 +1,7 @@
 // The implementation axis at campaign level, and determinism across
-// heterogeneous federations: mixed-engine campaigns must produce byte-
-// identical fault sets at every worker count, nested scheduling on or off,
-// with full or delta snapshots; the axis itself fans cells out with the
+// heterogeneous federations: mixed-engine campaigns must reproduce, at
+// every worker count, the fault bytes recorded from the serial cells-only
+// schedule with full snapshots; the axis itself fans cells out with the
 // implementation loop innermost; axis entry "bgp" reproduces the bytes of
 // the as-authored axis on unpinned blueprints; and unknown ids are
 // rejected at build time.
@@ -12,6 +12,7 @@
 
 #include "bgp/bugs.hpp"
 #include "explore/campaign.hpp"
+#include "util/hash.hpp"
 
 namespace dice::explore {
 namespace {
@@ -43,8 +44,7 @@ using core::FaultReport;
   return scenarios;
 }
 
-[[nodiscard]] CampaignOptions federated_options(std::size_t workers, bool nested,
-                                                bool delta) {
+[[nodiscard]] CampaignOptions federated_options(std::size_t workers) {
   CampaignOptions options;
   options.strategies = {StrategyKind::kGrammar, StrategyKind::kRandom};
   options.determinism.seeds = {1, 2};
@@ -52,8 +52,6 @@ using core::FaultReport;
   options.budgets.clone_event_budget = 60'000;
   options.budgets.bootstrap_events = 300'000;
   options.parallelism.workers = workers;
-  options.parallelism.nested = nested;
-  options.caching.delta_snapshots = delta;
   return options;
 }
 
@@ -66,28 +64,26 @@ using core::FaultReport;
   return lines;
 }
 
-TEST(FederationDeterminismTest, MixedCampaignBytesIdenticalAcrossWorkersNestingAndSnapshotMode) {
-  Campaign reference_campaign(federated_scenarios(),
-                              federated_options(1, /*nested=*/false, /*delta=*/false));
-  const CampaignResult reference = reference_campaign.run();
-  ASSERT_EQ(reference.cells_completed, reference.cells.size());
-  const std::string expected = fault_lines(reference.faults);
-  ASSERT_FALSE(expected.empty());
-  // The divergent ring must contribute the new fault class to the soak.
-  EXPECT_NE(expected.find("implementation-divergence"), std::string::npos);
+/// The federated campaign's fault-set hash (FNV-1a chained over each
+/// fault's to_string), recorded from a serial cells-only run with full
+/// snapshots before those modes were removed.
+constexpr std::uint64_t kFederationFaultHash = 0xdb70a8480e4fd715ULL;
+constexpr std::size_t kFederationFaults = 9;
 
+TEST(FederationDeterminismTest, MixedCampaignBytesMatchLiteralAtEveryWorkerCount) {
   for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
-    for (const bool nested : {false, true}) {
-      for (const bool delta : {false, true}) {
-        Campaign campaign(federated_scenarios(),
-                          federated_options(workers, nested, delta));
-        const CampaignResult result = campaign.run();
-        EXPECT_EQ(result.cells_completed, result.cells.size())
-            << "workers=" << workers << " nested=" << nested << " delta=" << delta;
-        EXPECT_EQ(fault_lines(result.faults), expected)
-            << "workers=" << workers << " nested=" << nested << " delta=" << delta;
-      }
-    }
+    Campaign campaign(federated_scenarios(), federated_options(workers));
+    const CampaignResult result = campaign.run();
+    EXPECT_EQ(result.cells_completed, result.cells.size()) << "workers=" << workers;
+    const std::string lines = fault_lines(result.faults);
+    // The divergent ring must contribute the new fault class to the soak.
+    EXPECT_NE(lines.find("implementation-divergence"), std::string::npos)
+        << "workers=" << workers;
+    std::uint64_t hash = util::kFnvOffset;
+    for (const FaultReport& fault : result.faults) hash = util::fnv1a(fault.to_string(), hash);
+    EXPECT_EQ(result.faults.size(), kFederationFaults) << "workers=" << workers;
+    EXPECT_EQ(util::hash_finalize(hash), kFederationFaultHash)
+        << "workers=" << workers << "\n" << lines;
   }
 }
 
@@ -96,7 +92,7 @@ TEST(ImplementationAxisTest, AxisFansCellsWithImplementationInnermost) {
   scenarios.push_back({"line3", bgp::make_line(3)});
   scenarios.push_back({"ring4", bgp::make_ring(4)});
 
-  CampaignOptions options = federated_options(2, /*nested=*/true, /*delta=*/true);
+  CampaignOptions options = federated_options(2);
   options.strategies = {StrategyKind::kGrammar};
   options.determinism.seeds = {1};
   options.determinism.implementations = {"", "fsm"};
@@ -126,7 +122,7 @@ TEST(ImplementationAxisTest, BgpAxisEntryReproducesAsAuthoredBytesOnUnpinnedScen
     bgp::SystemBlueprint hijack = bgp::make_internet({2, 3, 4});
     bgp::inject_hijack(hijack, /*victim=*/5, /*attacker=*/8);
     scenarios.push_back({"internet9-hijack", std::move(hijack)});
-    CampaignOptions options = federated_options(2, /*nested=*/true, /*delta=*/true);
+    CampaignOptions options = federated_options(2);
     options.determinism.implementations = {impl};
     Campaign campaign(std::move(scenarios), options);
     return fault_lines(campaign.run().faults);
@@ -144,7 +140,7 @@ TEST(ImplementationAxisTest, DefaultAxisLeavesHistoricCellIdentityUntouched) {
     bgp::SystemBlueprint hijack = bgp::make_internet({2, 3, 4});
     bgp::inject_hijack(hijack, /*victim=*/5, /*attacker=*/8);
     scenarios.push_back({"internet9-hijack", std::move(hijack)});
-    CampaignOptions options = federated_options(1, /*nested=*/false, /*delta=*/true);
+    CampaignOptions options = federated_options(1);
     options.strategies = {StrategyKind::kGrammar};
     if (explicit_axis) options.determinism.implementations = {std::string()};
     Campaign campaign(std::move(scenarios), options);

@@ -1,8 +1,7 @@
-// LiveStateCache + bootstrap-once equivalence: cells that resume a cached
-// live state must be indistinguishable — byte-identical fault sets — from
-// cells that replay bootstrap from scratch, at every worker count and on
-// both clone paths (prepared/arena and legacy clone_from). Plus the cache's
-// concurrency contracts: once-latch (one bootstrap per key, ever),
+// LiveStateCache + bootstrap-once: matrix cells that resume a cached live
+// state reproduce — byte for byte — the fault sets and per-cell counters
+// recorded from per-cell fresh bootstraps, at every worker count. Plus the
+// cache's concurrency contracts: once-latch (one bootstrap per key, ever),
 // trim-while-held lifetimes, and uncacheable-key fallback.
 #include <gtest/gtest.h>
 
@@ -15,6 +14,7 @@
 #include "dice/orchestrator.hpp"
 #include "explore/live_cache.hpp"
 #include "explore/matrix.hpp"
+#include "util/hash.hpp"
 
 namespace dice::explore {
 namespace {
@@ -352,7 +352,7 @@ TEST(InterleaveDealTest, StrategyHeavyMatrixNoLongerFrontloadsOneKey) {
 }
 
 // ---------------------------------------------------------------------------
-// Matrix equivalence: cached bootstrap vs fresh bootstrap
+// Matrix receipt: cached bootstraps reproduce the fresh-bootstrap literals
 // ---------------------------------------------------------------------------
 
 [[nodiscard]] std::vector<ScenarioSpec> equivalence_scenarios() {
@@ -365,85 +365,58 @@ TEST(InterleaveDealTest, StrategyHeavyMatrixNoLongerFrontloadsOneKey) {
   return scenarios;
 }
 
-struct MatrixOutput {
-  std::string faults;                     ///< canonical cell-order fault list
-  std::vector<std::string> cell_lines;    ///< per-cell counters
-  std::size_t cells_from_cache = 0;
-  LiveStateCache::Stats cache;
-};
-
-[[nodiscard]] MatrixOutput run_matrix(std::size_t workers, bool cached,
-                                      bool prepared_clones) {
-  MatrixOptions options;
-  options.strategies = {StrategyKind::kGrammar, StrategyKind::kRandom};
-  options.seeds = {1, 2};
-  options.episodes_per_cell = 1;
-  options.bootstrap_events = 300'000;
-  options.live_state_cache = cached;
-  options.dice.inputs_per_episode = 4;
-  options.dice.clone_event_budget = 60'000;
-  options.dice.prepared_clones = prepared_clones;
-  ScenarioMatrix matrix(equivalence_scenarios(), options);
-  ExplorePool pool(workers);
-  const MatrixResult result = matrix.run(pool, {});
-
-  MatrixOutput output;
-  std::ostringstream faults;
-  for (const FaultReport& fault : result.faults) faults << fault.to_string() << "\n";
-  output.faults = faults.str();
-  for (const CellResult& cell : result.cells) {
-    std::ostringstream line;
-    line << cell.scenario << "/" << to_string(cell.strategy) << "/s" << cell.seed
-         << " boot=" << cell.bootstrap_converged << " episodes=" << cell.episodes
-         << " clones=" << cell.clones_run << " faults=" << cell.faults;
-    output.cell_lines.push_back(line.str());
-    if (cell.bootstrap_from_cache) ++output.cells_from_cache;
-  }
-  output.cache = result.live_cache;
-  return output;
+[[nodiscard]] std::uint64_t text_hash(const std::string& text) {
+  return util::hash_finalize(util::fnv1a(text, util::kFnvOffset));
 }
 
-TEST(MatrixLiveCacheEquivalenceTest, CachedBootstrapFaultSetsMatchFreshAtWorkers1And2And8) {
-  // The acceptance property: a matrix run that bootstraps every (scenario,
-  // seed) once and resumes the rest must be byte-identical to one that
-  // bootstraps every cell from scratch — for any worker count.
-  const MatrixOutput fresh = run_matrix(/*workers=*/1, /*cached=*/false,
-                                        /*prepared_clones=*/true);
-  ASSERT_FALSE(fresh.faults.empty()) << "hijack + dispute wheel must produce faults";
-  EXPECT_EQ(fresh.cells_from_cache, 0u);
-  EXPECT_EQ(fresh.cache.misses, 0u) << "cache must stay untouched when disabled";
+/// Recorded from a run that bootstrapped every cell fresh (no cache), on
+/// both the prepared and the decode-per-clone path, before those
+/// alternatives were removed: the canonical fault list (FNV-1a chained
+/// over each fault's to_string) and the per-cell counter lines.
+constexpr std::uint64_t kFreshFaultHash = 0x0848da3c5fa99716ULL;
+constexpr std::size_t kFreshFaults = 21;
+constexpr std::uint64_t kFreshCellLinesHash = 0x05fd8047d5c90706ULL;
 
-  for (const std::size_t workers : {1u, 2u, 8u}) {
-    const MatrixOutput cached = run_matrix(workers, /*cached=*/true,
-                                           /*prepared_clones=*/true);
-    EXPECT_EQ(cached.faults, fresh.faults) << "workers=" << workers;
-    EXPECT_EQ(cached.cell_lines, fresh.cell_lines) << "workers=" << workers;
+TEST(MatrixLiveCacheEquivalenceTest, CachedBootstrapMatchesFreshLiteralsAtWorkers1And2And4And8) {
+  for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
+    MatrixOptions options;
+    options.strategies = {StrategyKind::kGrammar, StrategyKind::kRandom};
+    options.seeds = {1, 2};
+    options.episodes_per_cell = 1;
+    options.bootstrap_events = 300'000;
+    options.dice.inputs_per_episode = 4;
+    options.dice.clone_event_budget = 60'000;
+    ScenarioMatrix matrix(equivalence_scenarios(), options);
+    ExplorePool pool(workers);
+    const MatrixResult result = matrix.run(pool, {});
+
+    std::uint64_t fault_hash = util::kFnvOffset;
+    for (const FaultReport& fault : result.faults) {
+      fault_hash = util::fnv1a(fault.to_string(), fault_hash);
+    }
+    std::string cell_lines;
+    std::size_t cells_from_cache = 0;
+    for (const CellResult& cell : result.cells) {
+      std::ostringstream line;
+      line << cell.scenario << "/" << to_string(cell.strategy) << "/s" << cell.seed
+           << " boot=" << cell.bootstrap_converged << " episodes=" << cell.episodes
+           << " clones=" << cell.clones_run << " faults=" << cell.faults << "\n";
+      cell_lines += line.str();
+      if (cell.bootstrap_from_cache) ++cells_from_cache;
+    }
+    EXPECT_EQ(result.faults.size(), kFreshFaults) << "workers=" << workers;
+    EXPECT_EQ(util::hash_finalize(fault_hash), kFreshFaultHash) << "workers=" << workers;
+    EXPECT_EQ(text_hash(cell_lines), kFreshCellLinesHash)
+        << "workers=" << workers << "\n" << cell_lines;
     // 6 keys (3 scenarios x 2 seeds), 2 cells each: exactly one bootstrap
     // per key ever runs; the second cell of every cacheable key resumes.
     // bad-gadget never quiesces, so its 2 keys resolve uncacheable and
     // their second cells replay bootstrap (cheap via the early exit).
-    EXPECT_EQ(cached.cache.misses, 6u) << "workers=" << workers;
-    EXPECT_EQ(cached.cache.hits, 6u) << "workers=" << workers;
-    EXPECT_EQ(cached.cache.uncacheable, 4u) << "workers=" << workers;
-    EXPECT_EQ(cached.cells_from_cache, 4u) << "workers=" << workers;
+    EXPECT_EQ(result.live_cache.misses, 6u) << "workers=" << workers;
+    EXPECT_EQ(result.live_cache.hits, 6u) << "workers=" << workers;
+    EXPECT_EQ(result.live_cache.uncacheable, 4u) << "workers=" << workers;
+    EXPECT_EQ(cells_from_cache, 4u) << "workers=" << workers;
   }
-}
-
-TEST(MatrixLiveCacheEquivalenceTest, LegacyClonePathMatchesToo) {
-  // The cache composes with the legacy decode-per-clone path: same fault
-  // bytes whether clones are arena resets or fresh clone_from systems.
-  const MatrixOutput fresh = run_matrix(/*workers=*/1, /*cached=*/false,
-                                        /*prepared_clones=*/false);
-  const MatrixOutput cached = run_matrix(/*workers=*/2, /*cached=*/true,
-                                         /*prepared_clones=*/false);
-  ASSERT_FALSE(fresh.faults.empty());
-  EXPECT_EQ(cached.faults, fresh.faults);
-  EXPECT_EQ(cached.cell_lines, fresh.cell_lines);
-  // And the clone path itself never changes the verdict (cross-receipt
-  // against the prepared-path run in the test above).
-  const MatrixOutput prepared = run_matrix(/*workers=*/1, /*cached=*/false,
-                                           /*prepared_clones=*/true);
-  EXPECT_EQ(fresh.faults, prepared.faults);
 }
 
 TEST(MatrixLiveCacheEquivalenceTest, ExternalCacheServesAcrossRuns) {

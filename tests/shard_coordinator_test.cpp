@@ -4,7 +4,7 @@
 //
 // 1. Differential receipt — the sharded topology27 campaign's fault-set
 //    hash is byte-identical to the single-process 63f680b04458c2a9 at
-//    1/2/4 worker processes, across nested and delta-snapshot modes; a
+//    1/2/4 worker processes; a
 //    multi-cell smoke campaign merges byte-identical to an in-process
 //    explore::Campaign run, faults and observer stream included.
 // 2. Fault injection through the worker chaos seam — a worker killed
@@ -31,7 +31,7 @@ constexpr std::uint64_t kReceiptHash = 0x63f680b04458c2a9ull;
 [[nodiscard]] std::string worker_path() { return DICE_SHARD_WORKER_PATH; }
 
 /// The pinned receipt campaign (svc_soak_test's): one topology27 cell.
-[[nodiscard]] explore::CampaignOptions receipt_campaign(bool nested, bool delta) {
+[[nodiscard]] explore::CampaignOptions receipt_campaign() {
   auto built = explore::CampaignOptions::builder()
                    .strategies({explore::StrategyKind::kGrammar})
                    .seeds({1})
@@ -40,12 +40,9 @@ constexpr std::uint64_t kReceiptHash = 0x63f680b04458c2a9ull;
                    .bootstrap_events(2'000'000)
                    .strategy_seed(0xf1f1)
                    .parallelism(2)
-                   .nested(nested)
                    .build();
   EXPECT_TRUE(built.ok());
-  explore::CampaignOptions options = std::move(built).take();
-  options.caching.delta_snapshots = delta;
-  return options;
+  return std::move(built).take();
 }
 
 /// A fast multi-cell campaign over the "smoke" set: 2 scenarios x 2
@@ -106,28 +103,17 @@ TEST(ShardCoordinator, OptionsValidate) {
 }
 
 // The acceptance receipt: sharded topology27 == single-process
-// 63f680b04458c2a9 at 1/2/4 worker processes, nested x delta covered.
-TEST(ShardCoordinator, Topology27ReceiptHashAcrossProcessesNestedDelta) {
-  struct Case {
-    std::size_t processes;
-    bool nested;
-    bool delta;
-  };
-  const Case cases[] = {
-      {1, true, true}, {2, true, true}, {4, true, true},
-      {2, false, true}, {2, true, false},
-  };
-  for (const Case& c : cases) {
-    ShardCoordinator coordinator(receipt_campaign(c.nested, c.delta),
-                                 shard_options(c.processes, "topology27"));
+// 63f680b04458c2a9 at 1/2/4 worker processes.
+TEST(ShardCoordinator, Topology27ReceiptHashAcrossProcesses) {
+  for (const std::size_t processes : {1u, 2u, 4u}) {
+    ShardCoordinator coordinator(receipt_campaign(), shard_options(processes, "topology27"));
     auto result = coordinator.run();
     ASSERT_TRUE(result.ok()) << result.error().detail;
     EXPECT_TRUE(result.value().complete());
     EXPECT_TRUE(result.value().failures.empty());
     EXPECT_EQ(result.value().matrix.cells_completed, 1u);
     EXPECT_EQ(svc::fault_set_hash(result.value().matrix.faults), kReceiptHash)
-        << "processes=" << c.processes << " nested=" << c.nested
-        << " delta=" << c.delta;
+        << "processes=" << processes;
   }
 }
 
@@ -168,8 +154,6 @@ TEST(ShardCoordinator, SmokeCampaignMatchesInProcessByteForByte) {
     }
     // The canonical observer stream is worker-process-count-invariant.
     EXPECT_EQ(sharded_stream.log(), in_process_stream.log()) << "processes=" << processes;
-    // Worker unsat keys merged (the warm-start path crosses back).
-    EXPECT_EQ(sharded.value().matrix.unsat_keys, in_process.unsat_keys);
   }
 }
 

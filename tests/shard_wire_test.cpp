@@ -1,4 +1,4 @@
-// shard wire form (DSHD v1) receipts: codec round-trips for every message
+// shard wire form (DSHD v2) receipts: codec round-trips for every message
 // kind, canonical-bytes equality (equal values -> equal bytes), framing
 // reassembly under adversarial chunking, and the svc_store-style robustness
 // pass the coordinator stakes its uptime on — EVERY truncated prefix and
@@ -27,8 +27,8 @@ namespace {
   options.budgets.bootstrap_events = 2'000'000;
   options.budgets.clone_event_budget = 123'456;
   options.parallelism.workers = 4;
-  options.parallelism.nested = false;
-  options.caching.share_solver_cache = true;
+  options.budgets.include_baseline_clone = false;
+  options.determinism.bootstrap_early_exit = false;
   return WireCampaignSpec::from_options("topology27", options);
 }
 
@@ -37,7 +37,6 @@ namespace {
   job.shard_id = 3;
   job.campaign = make_spec();
   job.cells = {0, 2, 4, 11};
-  job.unsat_seed = {0xdead, 0xbeef};
   return job;
 }
 
@@ -136,7 +135,6 @@ TEST(ShardWire, ShardDoneAndDescriptorRoundTrip) {
   ShardDoneMsg done;
   done.shard_id = 2;
   done.cells_sent = 9;
-  done.unsat_keys = {1, 2, 3};
   const util::Bytes done_bytes = encode_shard_done(done);
   auto done_decoded = decode_message(done_bytes);
   ASSERT_TRUE(done_decoded.ok());
@@ -168,7 +166,7 @@ TEST(ShardWire, EveryTruncationAndFlipFailsTyped) {
   std::vector<util::Bytes> messages;
   messages.push_back(encode_job(make_job()));
   messages.push_back(encode_cell_result(make_cell_result()));
-  messages.push_back(encode_shard_done({4, 2, {9}}));
+  messages.push_back(encode_shard_done({4, 2}));
   messages.push_back(
       encode_cell_descriptor(WireCellDescriptor{1, "ring6", "random", 3, ""}));
   for (const util::Bytes& bytes : messages) {
@@ -208,7 +206,7 @@ TEST(ShardWire, EveryTruncationAndFlipFailsTyped) {
 }
 
 TEST(ShardWire, SpecificCorruptionsYieldSpecificCodes) {
-  const util::Bytes bytes = encode_shard_done({1, 1, {}});
+  const util::Bytes bytes = encode_shard_done({1, 1});
   util::Bytes bad_magic = bytes;
   bad_magic[0] = 'X';
   EXPECT_EQ(decode_message(bad_magic).error().code, "shard.wire.magic");
@@ -231,9 +229,41 @@ TEST(ShardWire, SpecificCorruptionsYieldSpecificCodes) {
   EXPECT_EQ(decode_message(forged.span()).error().code, "shard.wire.tag");
 }
 
+// Version 1 also carried proven-UNSAT solver keys in the job and done
+// frames, and the equivalence-baseline toggles in the campaign spec. A
+// peer still speaking it must be refused by version, before any payload
+// parse.
+TEST(ShardWire, VersionOneEnvelopeFailsAsWrongVersion) {
+  ASSERT_EQ(kVersion, 2u);
+  // A well-formed v1 ShardDone: tag, shard id, cells sent, then the
+  // (empty) UNSAT key list — checksum valid over that v1 body.
+  util::ByteWriter body;
+  body.u8(static_cast<std::uint8_t>(FrameTag::kShardDone));
+  body.u64(4);
+  body.vu64(2);
+  body.vu64(0);
+  util::ByteWriter forged;
+  forged.raw(std::span<const std::uint8_t>(
+      reinterpret_cast<const std::uint8_t*>(kMagic), sizeof(kMagic)));
+  forged.u8(1);
+  forged.u64(util::fnv1a(body.span()));
+  forged.raw(body.span());
+  EXPECT_EQ(decode_message(forged.span()).error().code, "shard.wire.version");
+
+  // Every current message kind stamped version 1 is refused the same way.
+  for (util::Bytes bytes : {encode_job(make_job()), encode_cell_result(make_cell_result()),
+                            encode_shard_done({4, 2}),
+                            encode_cell_descriptor(WireCellDescriptor{1, "ring6", "random",
+                                                                      3, ""})}) {
+    ASSERT_EQ(bytes[sizeof(kMagic)], kVersion);
+    bytes[sizeof(kMagic)] = 1;
+    EXPECT_EQ(decode_message(bytes).error().code, "shard.wire.version");
+  }
+}
+
 TEST(ShardWire, FrameBufferReassemblesByteAtATime) {
   const util::Bytes first = encode_cell_result(make_cell_result());
-  const util::Bytes second = encode_shard_done({0, 1, {5}});
+  const util::Bytes second = encode_shard_done({0, 1});
   util::Bytes stream;
   append_frame(stream, first);
   append_frame(stream, second);

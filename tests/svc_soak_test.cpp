@@ -6,7 +6,8 @@
 //  * Warm start: a killed-and-restarted daemon primes from the store,
 //    serves round-1 bootstraps from cache, produces the same fault bytes,
 //    and re-saves a byte-identical store file.
-//  * Robustness: a corrupt store cold-starts with a typed error retained.
+//  * Robustness: a corrupt or previous-version store cold-starts with a
+//    typed error retained.
 //  * Knob swaps: invalid options are rejected with the stable
 //    "campaign.options.*" code and change nothing; valid swaps take effect
 //    exactly at the next round boundary.
@@ -23,6 +24,7 @@
 #include "obs/names.hpp"
 #include "svc/soak_observer.hpp"
 #include "svc/soak_service.hpp"
+#include "util/hash.hpp"
 
 namespace dice::svc {
 namespace {
@@ -160,6 +162,45 @@ TEST(SoakServiceTest, CorruptStoreDegradesToTypedColdStart) {
   EXPECT_EQ(summary.cells_from_cache, 0u);
   auto reloaded = ArtifactStore(store).load();
   EXPECT_TRUE(reloaded.ok());
+  std::remove(store.c_str());
+}
+
+TEST(SoakServiceTest, VersionOneStoreDegradesToTypedColdStart) {
+  // A store as a version-1 daemon wrote it: this round's live-state
+  // artifacts followed by an (empty) UNSAT solver-memo section, sealed
+  // with version byte 1 and a valid checksum.
+  const std::string store = temp_path("svc_soak_v1.dsvc");
+  {
+    SoakService service(receipt_scenarios(), receipt_options(2, store));
+    (void)service.run(1);
+  }
+  const util::Bytes current = slurp(store);
+  constexpr std::size_t kHeader = sizeof(ArtifactStore::kMagic) + 1 + 8;
+  ASSERT_GT(current.size(), kHeader);
+  util::ByteWriter payload;
+  payload.raw(std::span<const std::uint8_t>(current.data() + kHeader,
+                                            current.size() - kHeader));
+  payload.vu64(0);  // the v1 UNSAT key count
+  util::ByteWriter v1;
+  v1.raw(std::span<const std::uint8_t>(current.data(), sizeof(ArtifactStore::kMagic)));
+  v1.u8(1);
+  v1.u64(util::fnv1a(payload.span()));
+  v1.raw(payload.span());
+  {
+    std::ofstream out(store, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(v1.span().data()),
+              static_cast<std::streamsize>(v1.size()));
+  }
+
+  SoakService service(receipt_scenarios(), receipt_options(2, store));
+  EXPECT_EQ(service.store_error().code, "svc.store.bad_version");
+  EXPECT_FALSE(service.report().warm_started);
+  EXPECT_EQ(service.report().primed_from_store, 0u);
+  const RoundSummary summary = service.run_round();
+  EXPECT_EQ(summary.fault_hash, kReceiptHash);
+  EXPECT_EQ(summary.cells_from_cache, 0u);
+  // The round's save replaces the old-format file with a current store.
+  EXPECT_EQ(slurp(store), current);
   std::remove(store.c_str());
 }
 

@@ -10,6 +10,7 @@
 #include <fstream>
 
 #include "svc/artifact_store.hpp"
+#include "util/hash.hpp"
 
 namespace dice::svc {
 namespace {
@@ -50,7 +51,6 @@ namespace {
   StoreContents contents;
   contents.live_states.push_back(make_artifact("ring6", 2));
   contents.live_states.push_back(make_artifact("internet9", 1));
-  contents.unsat_keys = {7, 3, 3, 11};  // unsorted + dup: encode canonicalizes
   return contents;
 }
 
@@ -77,7 +77,6 @@ TEST(ArtifactStoreTest, RoundtripPreservesEverything) {
   EXPECT_EQ(artifact.snap.nodes.size(), 3u);
   EXPECT_EQ(artifact.snap.channels.size(), 1u);
   EXPECT_EQ(artifact.snap.cut_hash(), artifact.cut_hash);
-  EXPECT_EQ(back.unsat_keys, (std::vector<std::uint64_t>{3, 7, 11}));
 }
 
 TEST(ArtifactStoreTest, EqualContentsEncodeToEqualBytes) {
@@ -85,7 +84,6 @@ TEST(ArtifactStoreTest, EqualContentsEncodeToEqualBytes) {
   StoreContents b;  // same contents, different in-memory order
   b.live_states.push_back(make_artifact("internet9", 1));
   b.live_states.push_back(make_artifact("ring6", 2));
-  b.unsat_keys = {11, 7, 3};
   auto ea = ArtifactStore::encode(a);
   auto eb = ArtifactStore::encode(b);
   ASSERT_TRUE(ea.ok());
@@ -164,6 +162,36 @@ TEST(ArtifactStoreTest, EnvelopeErrorsAreDistinguished) {
             "svc.store.checksum_mismatch");
 }
 
+// Version 1 stores also carried a proven-UNSAT solver-memo section. One
+// left on disk by an older daemon must be refused by version — the
+// caller then cold-starts (svc_soak_test pins that end to end).
+TEST(ArtifactStoreTest, VersionOneStoreFailsAsBadVersion) {
+  ASSERT_EQ(ArtifactStore::kVersion, 2u);
+  // A well-formed v1 store: no artifacts, then a two-key UNSAT section,
+  // checksum valid over that v1 payload.
+  util::ByteWriter payload;
+  payload.vu64(0);
+  payload.vu64(2);
+  payload.u64(3);
+  payload.u64(7);
+  util::ByteWriter forged;
+  forged.raw(std::span<const std::uint8_t>(
+      reinterpret_cast<const std::uint8_t*>(ArtifactStore::kMagic),
+      sizeof(ArtifactStore::kMagic)));
+  forged.u8(1);
+  forged.u64(util::fnv1a(payload.span()));
+  forged.raw(payload.span());
+  EXPECT_EQ(ArtifactStore::decode(forged.span()).error().code, "svc.store.bad_version");
+
+  // A current store stamped version 1 is refused the same way.
+  auto encoded = ArtifactStore::encode(make_contents());
+  ASSERT_TRUE(encoded.ok());
+  util::Bytes stamped = encoded.value();
+  ASSERT_EQ(stamped[sizeof(ArtifactStore::kMagic)], ArtifactStore::kVersion);
+  stamped[sizeof(ArtifactStore::kMagic)] = 1;
+  EXPECT_EQ(ArtifactStore::decode(stamped).error().code, "svc.store.bad_version");
+}
+
 TEST(ArtifactStoreTest, SaveLoadRoundtripAndMissingFile) {
   const std::string path = ::testing::TempDir() + "svc_store_test.dsvc";
   std::remove(path.c_str());
@@ -177,7 +205,6 @@ TEST(ArtifactStoreTest, SaveLoadRoundtripAndMissingFile) {
   auto loaded = store.load();
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded.value().live_states.size(), 2u);
-  EXPECT_EQ(loaded.value().unsat_keys.size(), 3u);
 
   // No stale tmp file left behind by the atomic publish.
   std::ifstream tmp(path + ".tmp");
