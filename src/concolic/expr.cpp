@@ -2,6 +2,7 @@
 
 #include <cassert>
 
+#include "concolic/program.hpp"
 #include "util/hash.hpp"
 #include "util/strings.hpp"
 
@@ -63,34 +64,11 @@ ExprRef ExprPool::intern(const NodeKey& key) {
 }
 
 ExprRef ExprPool::constant(std::uint64_t value, std::uint8_t width) {
-  return intern(NodeKey{Op::kConst, width, kNullExpr, kNullExpr, mask(value, width)});
+  return intern(NodeKey{Op::kConst, width, kNullExpr, kNullExpr, mask_to(value, width)});
 }
 
 ExprRef ExprPool::sym_byte(std::uint32_t input_index) {
   return intern(NodeKey{Op::kSym, 8, kNullExpr, kNullExpr, input_index});
-}
-
-std::uint64_t ExprPool::fold_binary(Op op, std::uint64_t a, std::uint64_t b,
-                                    std::uint8_t width) const noexcept {
-  switch (op) {
-    case Op::kAdd: return mask(a + b, width);
-    case Op::kSub: return mask(a - b, width);
-    case Op::kMul: return mask(a * b, width);
-    case Op::kUDiv: return b == 0 ? mask(~std::uint64_t{0}, width) : mask(a / b, width);
-    case Op::kURem: return b == 0 ? a : mask(a % b, width);
-    case Op::kAnd: return a & b;
-    case Op::kOr: return a | b;
-    case Op::kXor: return a ^ b;
-    case Op::kShl: return b >= width ? 0 : mask(a << b, width);
-    case Op::kLshr: return b >= width ? 0 : (a >> b);
-    case Op::kEq: return a == b ? 1 : 0;
-    case Op::kNe: return a != b ? 1 : 0;
-    case Op::kUlt: return a < b ? 1 : 0;
-    case Op::kUle: return a <= b ? 1 : 0;
-    case Op::kBoolAnd: return (a != 0 && b != 0) ? 1 : 0;
-    case Op::kBoolOr: return (a != 0 || b != 0) ? 1 : 0;
-    default: return 0;
-  }
 }
 
 ExprRef ExprPool::binary(Op op, ExprRef a, ExprRef b) {
@@ -110,7 +88,7 @@ ExprRef ExprPool::binary(Op op, ExprRef a, ExprRef b) {
       break;
   }
   if (is_const(a) && is_const(b)) {
-    return constant(fold_binary(op, nodes_[a].value, nodes_[b].value, wa), width);
+    return constant(apply_binary(op, nodes_[a].value, nodes_[b].value, wa), width);
   }
   // Light algebraic simplifications keep path conditions compact.
   if (is_const(b) && nodes_[b].value == 0 &&
@@ -197,76 +175,10 @@ ExprRef ExprPool::ite(ExprRef cond, ExprRef then_e, ExprRef else_e) {
 
 std::uint64_t ExprPool::eval(ExprRef ref, std::span<const std::uint8_t> input) const {
   assert(ref != kNullExpr && ref < nodes_.size());
-  // Per-call memo: epoch-tagged cache avoids clearing between evaluations.
-  if (eval_cache_.size() < nodes_.size()) {
-    eval_cache_.resize(nodes_.size(), 0);
-    eval_epoch_.resize(nodes_.size(), 0);
-  }
-  ++epoch_;
-  // Iterative post-order to avoid deep recursion on long concat chains.
-  std::vector<ExprRef> stack{ref};
-  while (!stack.empty()) {
-    const ExprRef cur = stack.back();
-    if (eval_epoch_[cur] == epoch_) {
-      stack.pop_back();
-      continue;
-    }
-    const ExprNode& n = nodes_[cur];
-    const ExprRef ca = n.a;
-    const ExprRef cb = n.b;
-    const ExprRef cc = (n.op == Op::kIte) ? static_cast<ExprRef>(n.value) : kNullExpr;
-    bool ready = true;
-    for (ExprRef child : {ca, cb, cc}) {
-      if (child != kNullExpr && eval_epoch_[child] != epoch_) {
-        stack.push_back(child);
-        ready = false;
-      }
-    }
-    if (!ready) continue;
-    stack.pop_back();
-    std::uint64_t value = 0;
-    switch (n.op) {
-      case Op::kConst: value = n.value; break;
-      case Op::kSym:
-        value = n.value < input.size() ? input[static_cast<std::size_t>(n.value)] : 0;
-        break;
-      case Op::kZext: value = eval_cache_[ca]; break;
-      case Op::kTrunc: value = mask(eval_cache_[ca], n.width); break;
-      case Op::kConcat:
-        value = mask((eval_cache_[ca] << nodes_[cb].width) | eval_cache_[cb], n.width);
-        break;
-      case Op::kExtract: value = mask(eval_cache_[ca] >> n.value, n.width); break;
-      case Op::kBoolNot: value = eval_cache_[ca] != 0 ? 0 : 1; break;
-      case Op::kIte:
-        value = eval_cache_[ca] != 0 ? eval_cache_[cb] : eval_cache_[cc];
-        break;
-      default:
-        value = fold_binary(n.op, eval_cache_[ca], eval_cache_[cb], nodes_[ca].width);
-        break;
-    }
-    eval_cache_[cur] = value;
-    eval_epoch_[cur] = epoch_;
-  }
-  return eval_cache_[ref];
-}
-
-void ExprPool::collect_syms(ExprRef ref, std::unordered_set<std::uint32_t>& out) const {
-  if (ref == kNullExpr) return;
-  std::vector<ExprRef> stack{ref};
-  std::unordered_set<ExprRef> seen;
-  while (!stack.empty()) {
-    const ExprRef cur = stack.back();
-    stack.pop_back();
-    if (!seen.insert(cur).second) continue;
-    const ExprNode& n = nodes_[cur];
-    if (n.op == Op::kSym) {
-      out.insert(static_cast<std::uint32_t>(n.value));
-      continue;
-    }
-    if (n.a != kNullExpr) stack.push_back(n.a);
-    if (n.b != kNullExpr) stack.push_back(n.b);
-    if (n.op == Op::kIte) stack.push_back(static_cast<ExprRef>(n.value));
-  }
+  Program program;
+  const std::uint32_t slot = program.lower(*this, ref);
+  program.run(input);
+  return program.reg(slot);
 }
 
 std::string ExprPool::to_string(ExprRef ref) const {

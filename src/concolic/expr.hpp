@@ -9,7 +9,6 @@
 #include <span>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 namespace dice::concolic {
@@ -46,6 +45,36 @@ enum class Op : std::uint8_t {
 
 [[nodiscard]] std::string_view op_name(Op op) noexcept;
 
+[[nodiscard]] constexpr std::uint64_t mask_to(std::uint64_t v, std::uint8_t width) noexcept {
+  return width >= 64 ? v : (v & ((std::uint64_t{1} << width) - 1));
+}
+
+/// Value of a binary `op` on operands `a`, `b` of width `width` — the one
+/// definition of the operator semantics, shared by constant folding and
+/// the Program evaluator.
+[[nodiscard]] constexpr std::uint64_t apply_binary(Op op, std::uint64_t a, std::uint64_t b,
+                                                   std::uint8_t width) noexcept {
+  switch (op) {
+    case Op::kAdd: return mask_to(a + b, width);
+    case Op::kSub: return mask_to(a - b, width);
+    case Op::kMul: return mask_to(a * b, width);
+    case Op::kUDiv: return b == 0 ? mask_to(~std::uint64_t{0}, width) : mask_to(a / b, width);
+    case Op::kURem: return b == 0 ? a : mask_to(a % b, width);
+    case Op::kAnd: return a & b;
+    case Op::kOr: return a | b;
+    case Op::kXor: return a ^ b;
+    case Op::kShl: return b >= width ? 0 : mask_to(a << b, width);
+    case Op::kLshr: return b >= width ? 0 : (a >> b);
+    case Op::kEq: return a == b ? 1 : 0;
+    case Op::kNe: return a != b ? 1 : 0;
+    case Op::kUlt: return a < b ? 1 : 0;
+    case Op::kUle: return a <= b ? 1 : 0;
+    case Op::kBoolAnd: return (a != 0 && b != 0) ? 1 : 0;
+    case Op::kBoolOr: return (a != 0 || b != 0) ? 1 : 0;
+    default: return 0;
+  }
+}
+
 /// One DAG node. POD by design: the pool stores nodes contiguously.
 struct ExprNode {
   Op op;
@@ -55,8 +84,8 @@ struct ExprNode {
   std::uint64_t value = 0;  // kConst: constant; kSym: byte index; kExtract: offset; kIte: child c
 };
 
-/// Arena + hash-consing + constant folding for expression construction, and
-/// a concrete evaluator used by the solver to verify candidate assignments.
+/// Arena + hash-consing + constant folding for expression construction.
+/// Nothing mutates a const pool, so concurrent readers are safe.
 class ExprPool {
  public:
   ExprPool();
@@ -74,12 +103,12 @@ class ExprPool {
   [[nodiscard]] const ExprNode& node(ExprRef ref) const { return nodes_[ref]; }
   [[nodiscard]] std::size_t size() const noexcept { return nodes_.size(); }
 
-  /// Evaluates `ref` under a concrete input assignment. Bytes beyond the
-  /// assignment read as zero (the decoder never reaches them; see sym.hpp).
+  /// Evaluates `ref` under a concrete input assignment by lowering it to a
+  /// one-root Program and running it. Bytes beyond the assignment read as
+  /// zero (the decoder never reaches them; see sym.hpp). A test and
+  /// debugging convenience: each call builds a fresh Program sized to the
+  /// whole pool. The solver keeps one Program per query instead.
   [[nodiscard]] std::uint64_t eval(ExprRef ref, std::span<const std::uint8_t> input) const;
-
-  /// Collects the distinct input byte indices `ref` depends on.
-  void collect_syms(ExprRef ref, std::unordered_set<std::uint32_t>& out) const;
 
   /// Human-readable rendering for debugging and fault evidence.
   [[nodiscard]] std::string to_string(ExprRef ref) const;
@@ -98,20 +127,12 @@ class ExprPool {
   };
 
   [[nodiscard]] ExprRef intern(const NodeKey& key);
-  [[nodiscard]] static std::uint64_t mask(std::uint64_t v, std::uint8_t width) noexcept {
-    return width >= 64 ? v : (v & ((std::uint64_t{1} << width) - 1));
-  }
   [[nodiscard]] bool is_const(ExprRef ref) const {
     return ref != kNullExpr && nodes_[ref].op == Op::kConst;
   }
-  [[nodiscard]] std::uint64_t fold_binary(Op op, std::uint64_t a, std::uint64_t b,
-                                          std::uint8_t width) const noexcept;
 
   std::vector<ExprNode> nodes_;
   std::unordered_map<NodeKey, ExprRef, NodeKeyHash> interned_;
-  mutable std::vector<std::uint64_t> eval_cache_;
-  mutable std::vector<std::uint32_t> eval_epoch_;
-  mutable std::uint32_t epoch_ = 0;
 };
 
 }  // namespace dice::concolic

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "util/hash.hpp"
 
@@ -223,7 +222,21 @@ std::optional<util::Bytes> Solver::solve_impl(const ExprPool& pool,
                                               const util::Bytes& hint, bool& definitive) {
   definitive = false;
 
-  if (satisfied(pool, constraints, hint)) {
+  // Lower the conjunction once and evaluate it once on the hint; every
+  // later stage re-runs only the slice its candidates can change.
+  program_.clear();
+  conjuncts_.clear();
+  failing_.clear();
+  for (const Constraint& c : constraints) {
+    conjuncts_.push_back(Conjunct{program_.lower(pool, c.cond), c.require, false});
+  }
+  program_.run(hint);
+  stats_.evaluations += conjuncts_.size();
+  for (std::uint32_t k = 0; k < conjuncts_.size(); ++k) {
+    conjuncts_[k].holds_on_hint = holds(conjuncts_[k]);
+    if (!conjuncts_[k].holds_on_hint) failing_.push_back(k);
+  }
+  if (failing_.empty()) {
     ++stats_.sat;
     ++stats_.hint_hits;
     return hint;
@@ -239,15 +252,13 @@ std::optional<util::Bytes> Solver::solve_impl(const ExprPool& pool,
 
   // Determine which input bytes the *unsatisfied* constraints depend on;
   // only those need to change (the rest already satisfy their conjuncts,
-  // though mutations may break them — full verification guards that).
-  std::unordered_set<std::uint32_t> involved_set;
-  for (const Constraint& c : constraints) {
-    const bool holds = (pool.eval(c.cond, hint) != 0) == c.require;
-    ++stats_.evaluations;
-    if (!holds) pool.collect_syms(c.cond, involved_set);
-  }
-  std::vector<std::uint32_t> involved(involved_set.begin(), involved_set.end());
-  std::sort(involved.begin(), involved.end());
+  // though mutations may break them — every candidate is checked against
+  // each conjunct that reads a changed byte).
+  std::vector<std::uint32_t> roots;
+  roots.reserve(failing_.size());
+  for (const std::uint32_t k : failing_) roots.push_back(conjuncts_[k].root);
+  std::vector<std::uint32_t> involved;
+  program_.reads(roots, involved);
   // Bytes beyond the hint length read as zero and cannot be assigned. A
   // longer hint could still reach them, so length-truncated failures are
   // never definitive (memoizable) UNSAT proofs.
@@ -271,7 +282,7 @@ std::optional<util::Bytes> Solver::solve_impl(const ExprPool& pool,
   }
 
   if (options_.enable_exhaustive && involved.size() <= options_.max_exhaustive_bytes) {
-    if (auto found = try_exhaustive(pool, constraints, hint, involved)) {
+    if (auto found = try_exhaustive(hint, involved, intervals)) {
       ++stats_.sat;
       ++stats_.exhaustive_hits;
       return found;
@@ -284,18 +295,21 @@ std::optional<util::Bytes> Solver::solve_impl(const ExprPool& pool,
     // constraint over an un-enumerated byte could flip under a different
     // assignment and open a solution this enumeration never visited.
     if (!truncated) {
-      std::unordered_set<std::uint32_t> all_syms;
-      for (const Constraint& c : constraints) pool.collect_syms(c.cond, all_syms);
-      const auto enumerated = [&](std::uint32_t sym) {
-        return std::binary_search(involved.begin(), involved.end(), sym);
-      };
-      definitive = std::all_of(all_syms.begin(), all_syms.end(), enumerated);
+      definitive = true;
+      for (std::uint32_t slot = 0; slot < program_.size(); ++slot) {
+        const Instr& in = program_.instr(slot);
+        if (in.op == Op::kSym &&
+            !std::binary_search(involved.begin(), involved.end(), in.imm)) {
+          definitive = false;
+          break;
+        }
+      }
     }
     return std::nullopt;
   }
 
   if (options_.enable_search) {
-    if (auto found = try_search(pool, constraints, hint, involved)) {
+    if (auto found = try_search(hint, involved)) {
       ++stats_.sat;
       ++stats_.search_hits;
       return found;
@@ -305,74 +319,69 @@ std::optional<util::Bytes> Solver::solve_impl(const ExprPool& pool,
   return std::nullopt;
 }
 
-bool Solver::satisfied(const ExprPool& pool, std::span<const Constraint> constraints,
-                       const util::Bytes& candidate) {
-  for (const Constraint& c : constraints) {
+bool Solver::all_hold(std::span<const std::uint32_t> conjuncts) {
+  for (const std::uint32_t k : conjuncts) {
     ++stats_.evaluations;
-    if ((pool.eval(c.cond, candidate) != 0) != c.require) return false;
+    if (!holds(conjuncts_[k])) return false;
   }
   return true;
 }
 
-double Solver::distance(const ExprPool& pool, const Constraint& c,
-                        const util::Bytes& candidate) {
-  ++stats_.evaluations;
-  const ExprNode& n = pool.node(c.cond);
-  const auto eval_children = [&]() -> std::pair<std::uint64_t, std::uint64_t> {
-    return {pool.eval(n.a, candidate), pool.eval(n.b, candidate)};
-  };
-  // Classic branch-distance metric from search-based software testing.
-  switch (n.op) {
-    case Op::kEq: {
-      const auto [a, b] = eval_children();
-      const double diff = a > b ? static_cast<double>(a - b) : static_cast<double>(b - a);
-      return c.require ? diff : (a == b ? 1.0 : 0.0);
-    }
-    case Op::kNe: {
-      const auto [a, b] = eval_children();
-      const double diff = a > b ? static_cast<double>(a - b) : static_cast<double>(b - a);
-      return c.require ? (a != b ? 0.0 : 1.0) : diff;
-    }
-    case Op::kUlt: {
-      const auto [a, b] = eval_children();
-      if (c.require) return a < b ? 0.0 : static_cast<double>(a - b) + 1.0;
-      return a >= b ? 0.0 : static_cast<double>(b - a);
-    }
-    case Op::kUle: {
-      const auto [a, b] = eval_children();
-      if (c.require) return a <= b ? 0.0 : static_cast<double>(a - b);
-      return a > b ? 0.0 : static_cast<double>(b - a) + 1.0;
-    }
-    case Op::kBoolAnd: {
-      const Constraint ca{n.a, true};
-      const Constraint cb{n.b, true};
-      if (c.require) return distance(pool, ca, candidate) + distance(pool, cb, candidate);
-      return std::min(distance(pool, Constraint{n.a, false}, candidate),
-                      distance(pool, Constraint{n.b, false}, candidate));
-    }
-    case Op::kBoolOr: {
-      if (c.require) {
-        return std::min(distance(pool, Constraint{n.a, true}, candidate),
-                        distance(pool, Constraint{n.b, true}, candidate));
-      }
-      return distance(pool, Constraint{n.a, false}, candidate) +
-             distance(pool, Constraint{n.b, false}, candidate);
-    }
-    case Op::kBoolNot:
-      return distance(pool, Constraint{n.a, !c.require}, candidate);
-    default: {
-      const bool holds = (pool.eval(c.cond, candidate) != 0) == c.require;
-      return holds ? 0.0 : 1.0;
-    }
+void Solver::focus(std::span<const std::uint32_t> bytes) {
+  program_.dependence(bytes, deps_);
+  slice_.clear();
+  for (std::uint32_t slot = 0; slot < deps_.size(); ++slot) {
+    if (deps_[slot] != 0) slice_.push_back(slot);
+  }
+  // A conjunct that fails on the hint stays live even off the slice: its
+  // register keeps the hint value, so it keeps failing every candidate and
+  // adds its hint distance at its own position.
+  live_.clear();
+  for (std::uint32_t k = 0; k < conjuncts_.size(); ++k) {
+    if (deps_[conjuncts_[k].root] != 0 || !conjuncts_[k].holds_on_hint) live_.push_back(k);
   }
 }
 
-double Solver::total_distance(const ExprPool& pool, std::span<const Constraint> constraints,
-                              const util::Bytes& candidate) {
+double Solver::distance(std::uint32_t slot, bool require) const {
+  const Instr& in = program_.instr(slot);
+  const std::uint64_t a = program_.reg(in.a);
+  const std::uint64_t b = program_.reg(in.b);
+  const double diff = a > b ? static_cast<double>(a - b) : static_cast<double>(b - a);
+  // Classic branch-distance metric from search-based software testing.
+  switch (in.op) {
+    case Op::kEq:
+      return require ? diff : (a == b ? 1.0 : 0.0);
+    case Op::kNe:
+      return require ? (a != b ? 0.0 : 1.0) : diff;
+    case Op::kUlt:
+      if (require) return a < b ? 0.0 : static_cast<double>(a - b) + 1.0;
+      return a >= b ? 0.0 : static_cast<double>(b - a);
+    case Op::kUle:
+      if (require) return a <= b ? 0.0 : static_cast<double>(a - b);
+      return a > b ? 0.0 : static_cast<double>(b - a) + 1.0;
+    case Op::kBoolAnd:
+      if (require) return distance(in.a, true) + distance(in.b, true);
+      return std::min(distance(in.a, false), distance(in.b, false));
+    case Op::kBoolOr:
+      if (require) return std::min(distance(in.a, true), distance(in.b, true));
+      return distance(in.a, false) + distance(in.b, false);
+    case Op::kBoolNot:
+      return distance(in.a, !require);
+    default:
+      return (program_.reg(slot) != 0) == require ? 0.0 : 1.0;
+  }
+}
+
+double Solver::total_distance(const util::Bytes& candidate) {
+  program_.run(slice_, candidate);
+  // Conjuncts outside the focus hold and would add log1p(0) = 0.0, so
+  // summing the live conjuncts in constraint order gives the full sum bit
+  // for bit.
   double total = 0.0;
-  for (const Constraint& c : constraints) {
+  for (const std::uint32_t k : live_) {
+    ++stats_.evaluations;
     // log1p keeps one huge conjunct from drowning progress on the others.
-    total += std::log1p(distance(pool, c, candidate));
+    total += std::log1p(distance(conjuncts_[k].root, conjuncts_[k].require));
   }
   return total;
 }
@@ -382,105 +391,100 @@ std::optional<util::Bytes> Solver::try_inversion(const ExprPool& pool,
                                                  const util::Bytes& hint) {
   // Fast path: exactly one failing constraint of shape byte-expr ⊕ const
   // where the byte expression is a bare (possibly zero-extended) input byte.
-  const Constraint* failing = nullptr;
-  for (const Constraint& c : constraints) {
-    ++stats_.evaluations;
-    if ((pool.eval(c.cond, hint) != 0) != c.require) {
-      if (failing != nullptr) return std::nullopt;  // more than one failing
-      failing = &c;
-    }
-  }
-  if (failing == nullptr) return std::nullopt;
-
-  const ExprNode& n = pool.node(failing->cond);
+  if (failing_.size() != 1) return std::nullopt;
+  const Constraint& failing = constraints[failing_[0]];
+  const ExprNode& n = pool.node(failing.cond);
   if (n.op != Op::kEq && n.op != Op::kNe) return std::nullopt;
 
-  const auto as_bare_sym = [&](ExprRef ref) -> std::optional<std::uint32_t> {
-    const ExprNode* cur = &pool.node(ref);
-    while (cur->op == Op::kZext || cur->op == Op::kTrunc) cur = &pool.node(cur->a);
-    if (cur->op == Op::kSym) return static_cast<std::uint32_t>(cur->value);
-    return std::nullopt;
-  };
-  const auto as_const = [&](ExprRef ref) -> std::optional<std::uint64_t> {
-    const ExprNode& cn = pool.node(ref);
-    if (cn.op == Op::kConst) return cn.value;
-    return std::nullopt;
-  };
-
-  std::optional<std::uint32_t> sym = as_bare_sym(n.a);
-  std::optional<std::uint64_t> cst = as_const(n.b);
+  std::optional<std::uint32_t> sym = as_bare_sym_byte(pool, n.a);
+  std::optional<std::uint64_t> cst = as_constant(pool, n.b);
   if (!sym || !cst) {
-    sym = as_bare_sym(n.b);
-    cst = as_const(n.a);
+    sym = as_bare_sym_byte(pool, n.b);
+    cst = as_constant(pool, n.a);
   }
   if (!sym || !cst || *sym >= hint.size() || *cst > 0xff) return std::nullopt;
 
   util::Bytes candidate = hint;
-  const bool want_equal = (n.op == Op::kEq) == failing->require;
+  const bool want_equal = (n.op == Op::kEq) == failing.require;
   if (want_equal) {
     candidate[*sym] = static_cast<std::uint8_t>(*cst);
   } else {
     candidate[*sym] = static_cast<std::uint8_t>((*cst + 1) & 0xff);
   }
-  if (satisfied(pool, constraints, candidate)) return candidate;
+  // This leaves the byte's slice holding the candidate's values. Every
+  // later stage focuses on the failing conjunct's bytes, which include this
+  // one, and re-runs its slice before reading any of those registers.
+  focus(std::span<const std::uint32_t>(&*sym, 1));
+  program_.run(slice_, candidate);
+  if (all_hold(live_)) return candidate;  // the one failing conjunct is live
   return std::nullopt;
 }
 
-std::optional<util::Bytes> Solver::try_exhaustive(const ExprPool& pool,
-                                                  std::span<const Constraint> constraints,
-                                                  const util::Bytes& hint,
-                                                  const std::vector<std::uint32_t>& involved) {
+std::optional<util::Bytes> Solver::try_exhaustive(
+    const util::Bytes& hint, const std::vector<std::uint32_t>& involved,
+    const std::unordered_map<std::uint32_t, ByteInterval>& intervals) {
+  // Each interval is a necessary condition, so values outside it are never
+  // a hit and skipping them cannot move the first one.
+  const auto interval = [&](std::uint32_t byte) {
+    const auto it = intervals.find(byte);
+    return it == intervals.end() ? ByteInterval{} : it->second;
+  };
+  focus(involved);
   util::Bytes candidate = hint;
+  const auto hit = [&] {
+    program_.run(slice_, candidate);
+    return all_hold(live_);
+  };
+  const std::uint32_t i = involved[0];
+  const ByteInterval range_i = interval(i);
   if (involved.size() == 1) {
-    const std::uint32_t i = involved[0];
-    // Enumerate only the interval-feasible range for this byte.
-    std::unordered_map<std::uint32_t, ByteInterval> intervals;
-    ByteInterval range;
-    if (propagate_intervals(pool, constraints, intervals)) {
-      if (auto it = intervals.find(i); it != intervals.end()) range = it->second;
-    }
-    for (std::uint32_t v = range.lo; v <= range.hi; ++v) {
+    for (std::uint32_t v = range_i.lo; v <= range_i.hi; ++v) {
       candidate[i] = static_cast<std::uint8_t>(v);
-      if (satisfied(pool, constraints, candidate)) return candidate;
+      if (hit()) return candidate;
     }
     return std::nullopt;
   }
-  // Two bytes: iterate boundary-biased order first, then the full square.
-  const std::uint32_t i = involved[0];
+
+  // Two bytes: a boundary-biased square first, then the full square, each
+  // row-major.
   const std::uint32_t j = involved[1];
-  for (std::uint8_t vi : kInterestingBytes) {
-    for (std::uint8_t vj : kInterestingBytes) {
+  const ByteInterval range_j = interval(j);
+  for (const std::uint8_t vi : kInterestingBytes) {
+    if (!range_i.contains(vi)) continue;
+    for (const std::uint8_t vj : kInterestingBytes) {
+      if (!range_j.contains(vj)) continue;
       candidate[i] = vi;
       candidate[j] = vj;
-      if (satisfied(pool, constraints, candidate)) return candidate;
+      if (hit()) return candidate;
     }
   }
-  for (int vi = 0; vi <= 0xff; ++vi) {
-    for (int vj = 0; vj <= 0xff; ++vj) {
+  for (std::uint32_t vi = range_i.lo; vi <= range_i.hi; ++vi) {
+    for (std::uint32_t vj = range_j.lo; vj <= range_j.hi; ++vj) {
       candidate[i] = static_cast<std::uint8_t>(vi);
       candidate[j] = static_cast<std::uint8_t>(vj);
-      if (satisfied(pool, constraints, candidate)) return candidate;
+      if (hit()) return candidate;
     }
   }
   return std::nullopt;
 }
 
-std::optional<util::Bytes> Solver::try_search(const ExprPool& pool,
-                                              std::span<const Constraint> constraints,
-                                              const util::Bytes& hint,
+std::optional<util::Bytes> Solver::try_search(const util::Bytes& hint,
                                               const std::vector<std::uint32_t>& involved) {
   const std::uint32_t per_restart = options_.search_budget / std::max(1U, options_.restarts);
+  focus(involved);
+  util::Bytes current;
+  util::Bytes candidate;
   for (std::uint32_t restart = 0; restart < options_.restarts; ++restart) {
-    util::Bytes current = hint;
+    current = hint;
     if (restart > 0) {
       // Later restarts scramble the involved bytes to escape local minima.
       for (std::uint32_t i : involved) current[i] = rng_.byte();
     }
-    double best = total_distance(pool, constraints, current);
-    if (best == 0.0 && satisfied(pool, constraints, current)) return current;
+    double best = total_distance(current);
+    if (best == 0.0 && all_hold(live_)) return current;
 
     for (std::uint32_t step = 0; step < per_restart; ++step) {
-      util::Bytes candidate = current;
+      candidate = current;
       const std::uint32_t idx = involved[rng_.below(involved.size())];
       switch (rng_.below(4)) {
         case 0:
@@ -502,11 +506,12 @@ std::optional<util::Bytes> Solver::try_search(const ExprPool& pool,
           break;
         }
       }
-      const double d = total_distance(pool, constraints, candidate);
+      const double d = total_distance(candidate);
       if (d <= best) {  // accept sideways moves: plateaus are common
         best = d;
-        current = std::move(candidate);
-        if (best == 0.0 && satisfied(pool, constraints, current)) return current;
+        std::swap(current, candidate);
+        // The registers hold `current`'s values: verify it without a rerun.
+        if (best == 0.0 && all_hold(live_)) return current;
       }
     }
   }

@@ -5,14 +5,20 @@
 // hint (the input of the execution whose path is being mutated — concolic
 // solving is always a perturbation of a known-good assignment).
 //
+// Each query's conjunction is lowered once into a Program (program.hpp) and
+// run once on the hint. A candidate differs from the hint only in a few
+// bytes, so every later stage re-runs only the slice of instructions that
+// reads those bytes: everything else keeps its hint value.
+//
 // Strategy, cheapest first:
 //   1. verify the hint (the negated branch may already hold);
 //   2. direct inversion for single-byte equalities/inequalities;
-//   3. exhaustive enumeration when <=2 input bytes are involved;
+//   3. exhaustive enumeration when <=2 input bytes are involved, clamped to
+//      each byte's interval;
 //   4. branch-distance-guided stochastic local search (search-based testing
 //      style) over the involved bytes, with random restarts.
-// Every candidate is verified by concrete evaluation before being returned,
-// so the solver is sound by construction (it can only be incomplete).
+// Every returned model was verified by concrete evaluation, so the solver
+// is sound by construction (it can only be incomplete).
 #pragma once
 
 #include <cstdint>
@@ -22,6 +28,7 @@
 #include <vector>
 
 #include "concolic/expr.hpp"
+#include "concolic/program.hpp"
 #include "util/bytes.hpp"
 #include "util/rng.hpp"
 
@@ -52,7 +59,11 @@ struct SolverStats {
   std::uint64_t inversion_hits = 0;   ///< solved by direct inversion
   std::uint64_t exhaustive_hits = 0;  ///< solved by enumeration
   std::uint64_t search_hits = 0;      ///< solved by local search
-  std::uint64_t evaluations = 0;      ///< candidate evaluations performed
+  /// Conjunct verdicts actually computed: every conjunct once on the hint,
+  /// then per candidate only the conjuncts that read the bytes being varied
+  /// (a branch distance counts as one verdict; conjuncts that cannot change
+  /// keep their hint verdict and are not recounted).
+  std::uint64_t evaluations = 0;
   std::uint64_t interval_unsat = 0;   ///< proven unsat by interval propagation
   std::uint64_t cache_hits = 0;       ///< answered by the attached SolverMemo
   std::uint64_t cache_stores = 0;     ///< results published to the memo
@@ -102,6 +113,7 @@ struct ByteInterval {
   std::uint32_t lo = 0;
   std::uint32_t hi = 255;
   [[nodiscard]] bool empty() const noexcept { return lo > hi; }
+  [[nodiscard]] bool contains(std::uint32_t v) const noexcept { return v >= lo && v <= hi; }
 };
 
 class Solver {
@@ -123,29 +135,41 @@ class Solver {
   void reset_stats() noexcept { stats_ = SolverStats{}; }
 
  private:
+  /// One conjunct of the current query, lowered into program_.
+  struct Conjunct {
+    std::uint32_t root = 0;  ///< register slot of the condition
+    bool require = true;
+    bool holds_on_hint = false;
+  };
+
   /// The uncached pipeline. `definitive` is set when a nullopt result is a
   /// proof of unsatisfiability (safe to memoize) rather than a give-up.
   [[nodiscard]] std::optional<util::Bytes> solve_impl(const ExprPool& pool,
                                                       std::span<const Constraint> constraints,
                                                       const util::Bytes& hint,
                                                       bool& definitive);
-  [[nodiscard]] bool satisfied(const ExprPool& pool, std::span<const Constraint> constraints,
-                               const util::Bytes& candidate);
-  /// Branch distance of one constraint: 0 iff satisfied; smaller is closer.
-  [[nodiscard]] double distance(const ExprPool& pool, const Constraint& c,
-                                const util::Bytes& candidate);
-  [[nodiscard]] double total_distance(const ExprPool& pool,
-                                      std::span<const Constraint> constraints,
-                                      const util::Bytes& candidate);
+  [[nodiscard]] bool holds(const Conjunct& c) const {
+    return (program_.reg(c.root) != 0) == c.require;
+  }
+  /// Verdicts of `conjuncts` (indices, in order) on the current registers;
+  /// stops at the first that fails.
+  [[nodiscard]] bool all_hold(std::span<const std::uint32_t> conjuncts);
+  /// Restricts evaluation to the instructions that read `bytes`
+  /// (ascending) and to the conjuncts that read them or fail on the hint;
+  /// every other register keeps its hint value. Registers in the slice
+  /// hold whatever candidate ran last.
+  void focus(std::span<const std::uint32_t> bytes);
+  /// Branch distance of the condition in `slot`: 0 iff it evaluates to
+  /// `require`; smaller is closer. Reads operands from the registers.
+  [[nodiscard]] double distance(std::uint32_t slot, bool require) const;
+  [[nodiscard]] double total_distance(const util::Bytes& candidate);
   [[nodiscard]] std::optional<util::Bytes> try_inversion(const ExprPool& pool,
                                                          std::span<const Constraint> constraints,
                                                          const util::Bytes& hint);
   [[nodiscard]] std::optional<util::Bytes> try_exhaustive(
-      const ExprPool& pool, std::span<const Constraint> constraints, const util::Bytes& hint,
-      const std::vector<std::uint32_t>& involved);
-  [[nodiscard]] std::optional<util::Bytes> try_search(const ExprPool& pool,
-                                                      std::span<const Constraint> constraints,
-                                                      const util::Bytes& hint,
+      const util::Bytes& hint, const std::vector<std::uint32_t>& involved,
+      const std::unordered_map<std::uint32_t, ByteInterval>& intervals);
+  [[nodiscard]] std::optional<util::Bytes> try_search(const util::Bytes& hint,
                                                       const std::vector<std::uint32_t>& involved);
   /// Derives per-byte intervals from single-byte constraints; returns
   /// false when some byte's interval is empty (conjunction unsat).
@@ -157,6 +181,14 @@ class Solver {
   util::Rng rng_;
   SolverStats stats_;
   SolverMemo* memo_ = nullptr;
+
+  // The current query, compiled; buffers are reused across queries.
+  Program program_;
+  std::vector<Conjunct> conjuncts_;
+  std::vector<std::uint32_t> failing_;        ///< conjuncts failing on the hint
+  std::vector<std::uint8_t> deps_;            ///< per instruction: reads a focused byte
+  std::vector<std::uint32_t> slice_;          ///< instructions reading focused bytes
+  std::vector<std::uint32_t> live_;           ///< conjuncts reading focused bytes
 };
 
 }  // namespace dice::concolic

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include "bgp/bugs.hpp"
 #include "concolic/solver.hpp"
 #include "concolic/sym.hpp"
+#include "solver_corpus.hpp"
 
 namespace dice::concolic {
 namespace {
@@ -206,6 +208,150 @@ TEST(SolverTest, StatsAccumulate) {
   EXPECT_EQ(solver.stats().sat, 2u);
   solver.reset_stats();
   EXPECT_EQ(solver.stats().queries, 0u);
+}
+
+/// Records store() calls so a test can see a definitive UNSAT.
+class StoreLog final : public SolverMemo {
+ public:
+  bool lookup(std::uint64_t, std::optional<util::Bytes>&) override { return false; }
+  void store(std::uint64_t, const std::optional<util::Bytes>& result) override {
+    stored.push_back(result);
+  }
+  std::vector<std::optional<util::Bytes>> stored;
+};
+
+TEST(SolverSquareTest, UncoupledSquareReturnsTheFullSquareFirstHit) {
+  // No conjunct reads both in[0] and in[1], and neither byte has a
+  // boundary-value solution: the hit is the full square's row-major first
+  // hit, (0x49, 0x39).
+  Recorded rec({0, 0, 5}, [] {
+    const SymU8 a = input_byte(0);
+    const SymU8 b = input_byte(1);
+    (void)branch((a ^ SymU8{0x5a}) == SymU8{0x13});  // a == 0x49
+    (void)branch(a < SymU8{0x80});
+    (void)branch((b + SymU8{7}) == SymU8{0x40});     // b == 0x39
+    (void)branch(input_byte(2) == SymU8{5});         // holds; off the square
+  });
+  for (Constraint& c : rec.constraints) c.require = true;
+  Solver solver;
+  const auto model = solver.solve(rec.ctx.pool(), rec.constraints, rec.ctx.input());
+  ASSERT_TRUE(model.has_value());
+  EXPECT_EQ(*model, (util::Bytes{0x49, 0x39, 5}));
+  EXPECT_EQ(solver.stats().exhaustive_hits, 1u);
+}
+
+TEST(SolverSquareTest, UnsatSquareOverEveryByteReadIsDefinitive) {
+  // b * 2 is even, so b * 2 == 3 never holds: UNSAT, and a complete
+  // enumeration over the only two bytes read, so a definitive one.
+  Recorded rec({0, 0}, [] {
+    const SymU8 a = input_byte(0);
+    const SymU8 b = input_byte(1);
+    (void)branch((a ^ SymU8{0x5a}) == SymU8{0x13});
+    (void)branch(b * SymU8{2} == SymU8{3});
+  });
+  for (Constraint& c : rec.constraints) c.require = true;
+  Solver solver;
+  StoreLog memo;
+  solver.set_memo(&memo);
+  EXPECT_FALSE(solver.solve(rec.ctx.pool(), rec.constraints, rec.ctx.input()).has_value());
+  ASSERT_EQ(memo.stored.size(), 1u);  // stored: a definitive UNSAT
+  EXPECT_FALSE(memo.stored[0].has_value());
+}
+
+TEST(SolverSquareTest, CoupledSquareReturnsTheRowMajorFirstHit) {
+  // a * b reads both bytes; row a = 0 has no hit and the first hit is
+  // (1, 150), not a pair built from row 0.
+  Recorded rec({0, 0}, [] { (void)branch(input_byte(0) * input_byte(1) == SymU8{150}); });
+  rec.constraints[0].require = true;
+  Solver solver;
+  const auto model = solver.solve(rec.ctx.pool(), rec.constraints, rec.ctx.input());
+  ASSERT_TRUE(model.has_value());
+  EXPECT_EQ(*model, (util::Bytes{0x01, 0x96}));
+}
+
+TEST(SolverSearchTest, BranchDistanceSearchReturnsThePinnedModels) {
+  // Four 4-byte queries on one solver, every recorded branch negated: the
+  // models pin the branch distances of ult/ule/ne/eq and of bool and/or/not
+  // terms, and their summation order, through the search's acceptances.
+  const util::Bytes hint{0xff, 0xff, 0xff, 0xff, 0x10};
+  Recorded word(hint, [] { (void)branch(input_u32(0) < SymU32{1000}); });
+  Recorded halves(hint, [] {
+    (void)branch(input_u16(0) + input_u16(2) <= SymU16{300});
+    (void)branch(input_byte(1) != SymU8{0});
+  });
+  Recorded bools(hint, [] {
+    const SymU8 a = input_byte(0);
+    const SymU8 b = input_byte(1);
+    const SymU8 c = input_byte(2);
+    const SymU8 d = input_byte(3);
+    (void)branch(!(((a ^ b) == c) || (d >= SymU8{5})));
+    (void)branch((a + c) > SymU8{40} && (b - d) < SymU8{9});
+  });
+  Recorded exact(hint, [] { (void)branch(input_u32(0) == SymU32{0x01020304}); });
+  Solver solver;
+  std::vector<std::optional<util::Bytes>> models;
+  for (Recorded* rec : {&word, &halves, &bools, &exact}) {
+    for (Constraint& c : rec->constraints) c.require = !c.require;
+    models.push_back(solver.solve(rec->ctx.pool(), rec->constraints, hint));
+  }
+  EXPECT_EQ(models[0], (util::Bytes{0x00, 0x00, 0x00, 0x00, 0x10}));
+  EXPECT_EQ(models[1], (util::Bytes{0xff, 0x00, 0x02, 0x16, 0x10}));
+  EXPECT_EQ(models[2], (util::Bytes{0xbf, 0xdf, 0x00, 0x00, 0x10}));
+  EXPECT_FALSE(models[3].has_value());  // the search gives up
+  EXPECT_EQ(solver.stats().search_hits, 3u);
+}
+
+TEST(SolverRngTest, FailingFixedConjunctKeepsTheSearchDraws) {
+  // Query 1 fails a conjunct over in[10], past the 4-byte hint: no
+  // candidate can fix it, yet its search must consume exactly the draws of
+  // a full search, so query 2's search-found model is the pinned one.
+  Solver solver;
+  Recorded fixed({1, 2, 3, 4}, [] {
+    (void)branch(input_byte(10) == SymU8{7});
+    (void)branch(input_byte(0) + input_byte(1) + input_byte(2) == SymU8{200});
+  });
+  for (Constraint& c : fixed.constraints) c.require = true;
+  EXPECT_FALSE(solver.solve(fixed.ctx.pool(), fixed.constraints, fixed.ctx.input()).has_value());
+
+  // Many 4-byte solutions: which one the search reaches depends on every
+  // draw before it (without query 1 it is ff e4 3f 7e).
+  Recorded parity({0xff, 0xff, 0xff, 0xff}, [] {
+    (void)branch((input_byte(0) ^ input_byte(1) ^ input_byte(2) ^ input_byte(3)) ==
+                 SymU8{0x5a});
+  });
+  parity.constraints[0].require = true;
+  const auto model = solver.solve(parity.ctx.pool(), parity.constraints, parity.ctx.input());
+  ASSERT_TRUE(model.has_value());
+  EXPECT_EQ(solver.stats().search_hits, 1u);
+  EXPECT_EQ(*model, (util::Bytes{0xe3, 0x6b, 0xb8, 0x6a}));
+}
+
+TEST(SolverCorpusTest, RecordedEngineQueriesReplayToThePinnedModels) {
+  // Real engine queries: the planted kCommunityLength line and topology27's
+  // parser-bug node, 64 executions each. The hash covers every query's
+  // memo key, returned model and definitive flag, in engine order.
+  bgp::SystemBlueprint line = bgp::make_line(3);
+  bgp::inject_bug(line, /*node=*/0, bgp::bugs::kCommunityLength);
+  core::System line_system(std::move(line));
+  line_system.start();
+  ASSERT_TRUE(line_system.converge());
+  bgp::SystemBlueprint fig1 = bgp::make_internet();
+  bgp::inject_hijack(fig1, /*victim=*/12, /*attacker=*/20, /*more_specific=*/true);
+  bgp::inject_bug(fig1, /*node=*/5, bgp::bugs::kCommunityLength);
+  core::System fig1_system(std::move(fig1));
+  fig1_system.start();
+  ASSERT_TRUE(fig1_system.converge());
+
+  const bench::QueryCorpus line_corpus = bench::record_corpus(line_system, 0, 64);
+  const bench::QueryCorpus fig1_corpus = bench::record_corpus(fig1_system, 5, 64);
+  EXPECT_EQ(line_corpus.queries, 177u);
+  EXPECT_EQ(fig1_corpus.queries, 169u);
+  const bench::ReplayResult line_replay = bench::replay_corpus(line_corpus);
+  const bench::ReplayResult fig1_replay = bench::replay_corpus(fig1_corpus);
+  EXPECT_EQ(line_replay.model_hash, 0xe59cbce5d6aaec39ULL);
+  EXPECT_EQ(fig1_replay.model_hash, 0xd3c2538901c4689cULL);
+  EXPECT_EQ(line_replay.sat + fig1_replay.sat, 338u);
+  EXPECT_EQ(line_replay.definitive_unsat + fig1_replay.definitive_unsat, 2u);
 }
 
 }  // namespace
